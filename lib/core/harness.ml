@@ -16,20 +16,32 @@ let default_scale = 20_000
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Benchmark_failed s)) fmt
 
-(* One reusable machine per RAM size, handed out only to runs that are
-   about to restore a checkpoint into it — restore overwrites all mutable
-   machine state, so reuse is invisible except in the time not spent
-   allocating and zeroing RAM.  Cold runs and fast-forward misses always
-   build fresh machines. *)
-let machine_pool : (int, Sb_sim.Machine.t) Hashtbl.t = Hashtbl.create 4
+(* One guest RAM buffer per size, reused by every run in this process.
+   Clearing a resident buffer is an order of magnitude cheaper than
+   allocating and faulting in a fresh one, and each registry engine's
+   cached session would keep its own copy alive.  The pool belongs to the
+   process that made it: a forked worker sees its parent's table, so it
+   starts its own rather than writing into pages it shares
+   copy-on-write. *)
+type ram_pool = { pid : int; rams : (int, Sb_mem.Phys_mem.t) Hashtbl.t }
 
-let pooled_machine (platform : Platform.t) =
-  match Hashtbl.find_opt machine_pool platform.Platform.ram_size with
-  | Some m -> m
-  | None ->
-    let m = Platform.machine platform ~now:Unix.gettimeofday () in
-    Hashtbl.add machine_pool platform.Platform.ram_size m;
-    m
+let ram_pool = ref { pid = Unix.getpid (); rams = Hashtbl.create 2 }
+
+let machine (platform : Platform.t) =
+  let pid = Unix.getpid () in
+  if !ram_pool.pid <> pid then ram_pool := { pid; rams = Hashtbl.create 2 };
+  let size = platform.Platform.ram_size in
+  let ram =
+    match Hashtbl.find_opt !ram_pool.rams size with
+    | Some ram ->
+      Sb_mem.Phys_mem.clear ram;
+      ram
+    | None ->
+      let ram = Sb_mem.Phys_mem.create ~size in
+      Hashtbl.add !ram_pool.rams size ram;
+      ram
+  in
+  Sb_sim.Machine.create ~ram ~now:Unix.gettimeofday ()
 
 let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
     ?switch_at ?setup_engine ?checkpoints ~support ~engine bench =
@@ -40,27 +52,17 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
     | None -> max 10 (bench.Bench.default_iters / scale)
   in
   let program = Rt.program ~support ~platform ~bench in
-  let fresh_machine () =
-    let machine = Platform.machine platform ~now:Unix.gettimeofday () in
-    Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev iters;
-    Sb_sim.Machine.load_program machine program;
-    machine
-  in
-  (* Checkpointed fast-forward: bring a machine to the switch point — from
-     the store when warm, by running the setup engine when cold — then
-     hand it to the timed engine.  The snapshot records how far past
+  let machine = machine platform in
+  Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev iters;
+  Sb_sim.Machine.load_program machine program;
+  (* Checkpointed fast-forward: bring the machine to the switch point —
+     from the store when warm, by running the setup engine when cold —
+     then hand it to the timed engine.  The snapshot records how far past
      kernel start the switch landed; that overshoot is credited back below
-     so kernel_insns match a cold run exactly.
-
-     Warm runs restore into a pooled machine instead of building a fresh
-     one: [Snapshot.restore] rewrites every byte of mutable machine state
-     (RAM, CPU, coprocessor, devices) and bumps the state generation so
-     engine caches rebuild, which makes a reused machine
-     indistinguishable from a fresh build — and skips zeroing tens of
-     megabytes of RAM per grid cell. *)
-  let machine, kernel_insns_carried =
+     so kernel_insns match a cold run exactly. *)
+  let kernel_insns_carried =
     match switch_at with
-    | None -> (fresh_machine (), 0)
+    | None -> 0
     | Some point ->
       let setup_engine =
         match setup_engine with
@@ -85,16 +87,8 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
           ~ram_size:platform.Platform.ram_size ~setup_engine:Setup.name
           ~point program
       in
-      let hit =
-        Option.bind checkpoints (fun store -> Checkpoint.load store ~key)
-      in
-      let machine =
-        match hit with
-        | Some _ -> pooled_machine platform
-        | None -> fresh_machine ()
-      in
       let snap =
-        match hit with
+        match Option.bind checkpoints (fun store -> Checkpoint.load store ~key) with
         | Some snap ->
           (* validated when it entered the store's memo *)
           Sb_sim.Snapshot.restore ~validated:true snap machine;
@@ -113,7 +107,7 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
           | Sb_sim.Snapshot.Corrupt msg ->
             fail "%s on %s: corrupt checkpoint: %s" bench.Bench.name S.name msg)
       in
-      (machine, Sb_sim.Snapshot.insns_into_kernel snap)
+      Sb_sim.Snapshot.insns_into_kernel snap
   in
   let result = Sb_sim.Engine.run engine machine in
   let engine_name = result.Sb_sim.Run_result.engine in

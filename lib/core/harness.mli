@@ -27,6 +27,15 @@ val default_scale : int
 (** 20000: Figure 3 iteration counts divided by this keep a full-suite,
     all-engine sweep within interactive time. *)
 
+val machine : Platform.t -> Sb_sim.Machine.t
+(** A machine for [platform] built around this process's pooled RAM
+    buffer of the platform's size, cleared first: the same state as
+    {!Platform.machine} with a fresh CPU, bus and device set, without
+    allocating the RAM again.  The machine is valid until the next call in
+    the process, which clears and reuses the same buffer.  A forked child
+    starts its own pool on its first call and never writes into the
+    buffer it shares copy-on-write with its parent. *)
+
 val run :
   ?platform:Platform.t ->
   ?scale:int ->
@@ -50,7 +59,13 @@ val run :
     phase edges cancels out of the count.  [kernel_insns] credits back any
     instructions the setup run overshot into the kernel, so checkpointed
     and cold runs report identical counts.  [kernel_seconds] and the
-    kernel perf counters cover the timed engine's share only. *)
+    kernel perf counters cover the timed engine's share only.
+
+    Every run, cold, warm restore or fast-forward miss alike, executes on
+    a fresh {!machine}: guest RAM is built once per size per process and
+    cleared before each run, so a run's host cost is what it simulates,
+    not the 32 MiB machine.  Nothing of a previous run is visible to the
+    next one. *)
 
 val density : outcome -> float
 (** Tested operations per kernel instruction (the Figure 3 metric). *)

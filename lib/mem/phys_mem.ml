@@ -93,4 +93,21 @@ let blit_out t ~addr ~len =
   check t addr len;
   Bytes.sub t.data addr len
 
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Unchecked 8-byte loads (the [int64] stays unboxed because it feeds
+   straight into the comparison), then a byte loop for the tail. *)
+let rec zero_words data i stop =
+  if i + 8 <= stop then unsafe_get64 data i = 0L && zero_words data (i + 8) stop
+  else zero_bytes data i stop
+
+and zero_bytes data i stop =
+  i >= stop || (Bytes.unsafe_get data i = '\000' && zero_bytes data (i + 1) stop)
+
+(* one bounds check for the whole window and no allocation, so scanning a
+   whole RAM for resident pages creates no garbage *)
+let is_zero t ~addr ~len =
+  check t addr len;
+  zero_words t.data addr (addr + len)
+
 let clear t = Bytes.fill t.data 0 t.size '\000'

@@ -45,4 +45,11 @@ val load : t -> addr:int -> Bytes.t -> unit
 val blit_out : t -> addr:int -> len:int -> Bytes.t
 (** Copy [len] bytes starting at [addr] out of memory. *)
 
+val is_zero : t -> addr:int -> len:int -> bool
+(** True when all [len] bytes starting at [addr] are zero (vacuously for
+    [len = 0]).  Bounds-checked once for the whole window, like
+    {!blit_out}; raises [Out_of_range] when it is not resident.  Scans 8
+    bytes at a time without allocating. *)
+
 val clear : t -> unit
+(** Zero every byte, leaving the memory as {!create} made it. *)

@@ -21,8 +21,13 @@ type t = {
 
 let default_ram_size = 32 * 1024 * 1024
 
-let create ?(ram_size = default_ram_size) ?now () =
-  let ram = Sb_mem.Phys_mem.create ~size:ram_size in
+let create ?(ram_size = default_ram_size) ?ram ?now () =
+  let ram =
+    match ram with
+    | Some ram -> ram
+    | None -> Sb_mem.Phys_mem.create ~size:ram_size
+  in
+  let ram_size = Sb_mem.Phys_mem.size ram in
   let uart = Sb_mem.Uart.create () in
   let intc = Sb_mem.Intc.create () in
   let timer =

@@ -29,10 +29,14 @@ type t = {
           [(machine, state_gen)] so stale caches are rebuilt lazily. *)
 }
 
-val create : ?ram_size:int -> ?now:(unit -> float) -> unit -> t
-(** Default RAM size is 32 MiB.  [now] is the wall clock used to timestamp
-    benchmark phases (defaults to the OS monotonic-ish clock the harness
-    injects; tests can pass a fake). *)
+val create :
+  ?ram_size:int -> ?ram:Sb_mem.Phys_mem.t -> ?now:(unit -> float) -> unit -> t
+(** Default RAM size is 32 MiB.  [ram] builds the machine around an
+    existing buffer, contents as they are, instead of a fresh zeroed one;
+    the RAM size is then the buffer's and [ram_size] is ignored.  CPU,
+    devices and bus are always new.  [now] is the wall clock used to
+    timestamp benchmark phases (defaults to the OS monotonic-ish clock the
+    harness injects; tests can pass a fake). *)
 
 val load_program : t -> Sb_asm.Program.t -> unit
 (** Copy the image into physical RAM at its base and point the CPU entry at

@@ -62,13 +62,6 @@ let digest_pages ~ram_size pages =
     pages;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let page_is_zero bytes =
-  let n = Bytes.length bytes in
-  let rec loop i =
-    i >= n || (Bytes.unsafe_get bytes i = '\000' && loop (i + 1))
-  in
-  loop 0
-
 let save ?(insns = 0) ?(insns_into_kernel = 0) (m : Machine.t) =
   let cpu = m.Machine.cpu in
   let s_cpu =
@@ -87,12 +80,16 @@ let save ?(insns = 0) ?(insns_into_kernel = 0) (m : Machine.t) =
   let ram = Sb_mem.Bus.ram m.Machine.bus in
   let npages = (m.Machine.ram_size + page_size - 1) / page_size in
   let pages = ref [] in
+  (* scan in place and copy out only resident pages: most of a 32 MiB
+     machine is zero, and a copy per page would make tens of megabytes of
+     garbage per save *)
   for idx = npages - 1 downto 0 do
     let addr = idx * page_size in
     let len = min page_size (m.Machine.ram_size - addr) in
-    let bytes = Sb_mem.Phys_mem.blit_out ram ~addr ~len in
-    if not (page_is_zero bytes) then
-      pages := (idx, Bytes.to_string bytes) :: !pages
+    if not (Sb_mem.Phys_mem.is_zero ram ~addr ~len) then
+      pages :=
+        (idx, Bytes.unsafe_to_string (Sb_mem.Phys_mem.blit_out ram ~addr ~len))
+        :: !pages
   done;
   let pages = !pages in
   let s_devices =

@@ -81,9 +81,13 @@ struct
 
   let make_ctx machine perf =
     let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
+    let cpu = machine.Machine.cpu in
+    (* the world switch copies these with unchecked loops *)
+    if Array.length cpu.Cpu.regs <> 16 || Array.length cpu.Cpu.cop <> Cregs.count
+    then invalid_arg "Virt: CPU register file is not 16 + Cregs.count words";
     {
       machine;
-      cpu = machine.Machine.cpu;
+      cpu;
       bus = machine.Machine.bus;
       perf;
       host_tlb = Array.make vpn_space 0;
@@ -100,22 +104,45 @@ struct
 
   (* ------------- vm exits ---------------------------------------------- *)
 
+  (* The world switch copies with typed [int array] loops, not
+     [Array.blit]: [caml_array_blit] uses memmove only for a young
+     destination and calls [caml_modify] per element once a minor GC has
+     promoted the arrays, so the modelled exit cost would change several
+     times over with GC phase.  Typed stores cost the same in any GC
+     state.  The loop must stay unchecked (bounds checks at least double
+     its cost) and is unrolled four ways, since a branch and a safepoint
+     poll per word would cost more than the young memmove did.
+     [make_ctx] checks the lengths it relies on. *)
+  let copy_words (src : int array) (dst : int array) n =
+    let i = ref 0 in
+    while !i + 4 <= n do
+      let j = !i in
+      Array.unsafe_set dst j (Array.unsafe_get src j);
+      Array.unsafe_set dst (j + 1) (Array.unsafe_get src (j + 1));
+      Array.unsafe_set dst (j + 2) (Array.unsafe_get src (j + 2));
+      Array.unsafe_set dst (j + 3) (Array.unsafe_get src (j + 3));
+      i := j + 4
+    done;
+    for j = !i to n - 1 do
+      Array.unsafe_set dst j (Array.unsafe_get src j)
+    done
+
   let vm_exit ctx reason =
     if not is_native then begin
       Perf.incr ctx.perf Perf.Vm_exits;
       let cpu = ctx.cpu in
       for round = 1 to cfg.Config.vm_exit_rounds do
         (* world switch out: save vCPU state *)
-        Array.blit cpu.Cpu.regs 0 ctx.shadow_regs 0 16;
-        Array.blit cpu.Cpu.cop 0 ctx.shadow_cop 0 Cregs.count;
+        copy_words cpu.Cpu.regs ctx.shadow_regs 16;
+        copy_words cpu.Cpu.cop ctx.shadow_cop Cregs.count;
         (* emulation-layer dispatch *)
         ctx.exit_token <-
           (ctx.exit_token + ctx.shadow_regs.((reason + round) land 15)
           + ctx.shadow_cop.((reason + round) mod Cregs.count))
           land max_int;
         (* world switch in: restore *)
-        Array.blit ctx.shadow_regs 0 cpu.Cpu.regs 0 16;
-        Array.blit ctx.shadow_cop 0 cpu.Cpu.cop 0 Cregs.count
+        copy_words ctx.shadow_regs cpu.Cpu.regs 16;
+        copy_words ctx.shadow_cop cpu.Cpu.cop Cregs.count
       done
     end
 

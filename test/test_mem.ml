@@ -148,6 +148,43 @@ let test_phys_mem_load () =
   Alcotest.(check string) "blit out" "abcd"
     (Bytes.to_string (Sb_mem.Phys_mem.blit_out m ~addr:8 ~len:4))
 
+(* [is_zero] steps 8 bytes at a time after one bounds check: every start
+   alignment and every tail length must see a single non-zero byte at the
+   first and at the last position of the window, and ignore non-zero
+   bytes just outside it *)
+let test_phys_mem_is_zero () =
+  List.iter
+    (fun size ->
+      let m = Sb_mem.Phys_mem.create ~size in
+      let is_zero ~addr ~len = Sb_mem.Phys_mem.is_zero m ~addr ~len in
+      Alcotest.(check bool) "fresh memory" true (is_zero ~addr:0 ~len:size);
+      for addr = 0 to 9 do
+        for len = 1 to 20 do
+          let label what = Printf.sprintf "size=%d @%d len=%d %s" size addr len what in
+          List.iter
+            (fun (pos, what) ->
+              Sb_mem.Phys_mem.write8 m pos 0x80;
+              Alcotest.(check bool) (label what) false (is_zero ~addr ~len);
+              Sb_mem.Phys_mem.write8 m pos 0)
+            [ (addr, "first byte set"); (addr + len - 1, "last byte set") ];
+          if addr > 0 then Sb_mem.Phys_mem.write8 m (addr - 1) 0xFF;
+          Sb_mem.Phys_mem.write8 m (addr + len) 0xFF;
+          Alcotest.(check bool) (label "neighbours set") true (is_zero ~addr ~len);
+          Sb_mem.Phys_mem.clear m
+        done
+      done;
+      Sb_mem.Phys_mem.write8 m 3 1;
+      Alcotest.(check bool) "zero length" true (is_zero ~addr:3 ~len:0);
+      Alcotest.(check bool) "zero length at end" true (is_zero ~addr:size ~len:0);
+      Alcotest.check_raises "past the end" (Sb_mem.Phys_mem.Out_of_range (size - 4))
+        (fun () -> ignore (is_zero ~addr:(size - 4) ~len:8));
+      Alcotest.check_raises "negative" (Sb_mem.Phys_mem.Out_of_range (-1))
+        (fun () -> ignore (is_zero ~addr:(-1) ~len:4));
+      Alcotest.check_raises "empty beyond the end"
+        (Sb_mem.Phys_mem.Out_of_range (size + 1)) (fun () ->
+          ignore (is_zero ~addr:(size + 1) ~len:0)))
+    [ 64; 80 ]
+
 let test_bus_ram_dispatch () =
   let machine = make_machine () in
   let bus = machine.Sb_sim.Machine.bus in
@@ -289,6 +326,7 @@ let () =
           Alcotest.test_case "unsafe accessor parity" `Quick
             test_phys_mem_unsafe_parity;
           Alcotest.test_case "load/blit" `Quick test_phys_mem_load;
+          Alcotest.test_case "is_zero windows" `Quick test_phys_mem_is_zero;
         ] );
       ( "bus",
         [

@@ -419,6 +419,104 @@ let test_kernel_insns_identity arch () =
         (insns closure) (insns threaded))
     Simbench.Suite.all
 
+(* ------------------------------------------------------------------ *)
+(* The harness's pooled guest RAM                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A pooled machine must be indistinguishable from a freshly built one,
+   whatever the previous run left behind in RAM, CPU, devices or bus. *)
+let test_pooled_machine_equivalence () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let engine = Simbench.Engines.interp arch in
+  let p = Simbench.Platform.sbp_ref in
+  let program =
+    Simbench.Rt.program
+      ~support:(Simbench.Engines.support arch)
+      ~platform:p ~bench:Simbench.Suite.memory_mapped_device
+  in
+  let prepare (m : Sb_sim.Machine.t) =
+    Sb_mem.Benchdev.set_iters m.Sb_sim.Machine.benchdev 10;
+    Sb_sim.Machine.load_program m program;
+    m
+  in
+  (* dirty a pooled machine: a partial run, then RAM writes across the
+     whole size, device accesses and a fault injector that fails every
+     device access *)
+  let dirty = prepare (H.machine p) in
+  let (_ : Sb_sim.Run_result.t) =
+    Sb_sim.Engine.run engine ~max_insns:5_000 dirty
+  in
+  let ram = Sb_mem.Bus.ram dirty.Sb_sim.Machine.bus in
+  for page = 0 to (p.Simbench.Platform.ram_size / 4096) - 1 do
+    Sb_mem.Phys_mem.write32 ram ((page * 4096) + (page land 1023 * 4)) (page + 1)
+  done;
+  Sb_mem.Phys_mem.write8 ram (p.Simbench.Platform.ram_size - 1) 0xFF;
+  let bus = dirty.Sb_sim.Machine.bus in
+  Sb_mem.Bus.write32 bus p.Simbench.Platform.uart_base (Char.code '!');
+  ignore (Sb_mem.Bus.read32 bus p.Simbench.Platform.devid_base);
+  Sb_mem.Bus.set_fault_injector bus (Some (fun ~nth:_ ~rw:_ ~addr:_ -> true));
+  let pooled = prepare (H.machine p) in
+  Alcotest.(check bool) "the RAM buffer is reused" true
+    (Sb_mem.Bus.ram pooled.Sb_sim.Machine.bus == ram);
+  let fresh = prepare (Simbench.Platform.machine p ()) in
+  let digest m = Sb_sim.Snapshot.digest (Sb_sim.Snapshot.save m) in
+  Alcotest.(check string) "same state as Platform.machine" (digest fresh)
+    (digest pooled);
+  (* nothing the snapshot does not see survives either: the injector is
+     gone, so the device-heavy bench halts cleanly with the same count *)
+  let kernel m =
+    let r = Sb_sim.Engine.run engine m in
+    Alcotest.(check bool) "halted" true
+      (r.Sb_sim.Run_result.stop = Sb_sim.Run_result.Halted);
+    Alcotest.(check int) "exit code" 0 r.Sb_sim.Run_result.exit_code;
+    Option.get (Sb_sim.Run_result.kernel_insns r)
+  in
+  Alcotest.(check int) "same kernel_insns" (kernel fresh) (kernel pooled)
+
+(* Every run reuses the pooled RAM, so each suite bench must count the
+   same in any order the process runs them. *)
+let test_run_order_independence () =
+  List.iter
+    (fun arch ->
+      let engine = Simbench.Engines.interp arch in
+      let sweep benches =
+        List.map
+          (fun bench ->
+            let o = run ~arch ~engine bench in
+            let perf =
+              Perf.to_alist (Option.get o.H.result.Sb_sim.Run_result.kernel_perf)
+              |> List.map (fun (c, n) -> Printf.sprintf "%s=%d" (Perf.to_string c) n)
+            in
+            (bench.Simbench.Bench.name, (o.H.kernel_insns, perf)))
+          benches
+      in
+      let forward = sweep Simbench.Suite.all in
+      let backward = sweep (List.rev Simbench.Suite.all) in
+      List.iter
+        (fun (name, (insns, perf)) ->
+          let insns', perf' = List.assoc name backward in
+          Alcotest.(check int) (name ^ " kernel_insns") insns insns';
+          Alcotest.(check (list string)) (name ^ " kernel_perf") perf perf')
+        forward)
+    [ Sb_isa.Arch_sig.Sba; Sb_isa.Arch_sig.Vlx ]
+
+(* A forked worker must not write into the buffer it shares copy-on-write
+   with its parent: it builds its own on its first call and reuses that. *)
+let test_forked_worker_own_ram () =
+  let p = Simbench.Platform.sbp_ref in
+  let ram () = Sb_mem.Bus.ram (H.machine p).Sb_sim.Machine.bus in
+  let parent = ram () in
+  let child () =
+    let first = ram () in
+    (first != parent, ram () == first)
+  in
+  (match Sb_jobs.Pool.run ~deadline:60. [ Sb_jobs.Pool.task ~label:"child" child ] with
+  | [ Sb_jobs.Pool.Done (distinct, reused) ] ->
+    Alcotest.(check bool) "child RAM is not the parent's" true distinct;
+    Alcotest.(check bool) "child reuses its own RAM" true reused
+  | _ -> Alcotest.fail "forked worker did not report");
+  Alcotest.(check bool) "parent keeps its RAM" true (ram () == parent)
+
 let () =
   Alcotest.run "simbench"
     [
@@ -455,5 +553,14 @@ let () =
         [
           Alcotest.test_case "front caches fire and are transparent" `Quick
             test_front_cache_signature;
+        ] );
+      ( "ram-pool",
+        [
+          Alcotest.test_case "pooled machine = Platform.machine" `Quick
+            test_pooled_machine_equivalence;
+          Alcotest.test_case "run order does not matter" `Quick
+            test_run_order_independence;
+          Alcotest.test_case "forked worker builds its own RAM" `Quick
+            test_forked_worker_own_ram;
         ] );
     ]

@@ -224,6 +224,67 @@ let test_restore_under_fault_plan () =
     (Snapshot.digest (Snapshot.save resumed_m))
 
 (* ------------------------------------------------------------------ *)
+(* The resident-page scan                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Snapshot.save] scans RAM in place with [Phys_mem.is_zero]; its page
+   list and memory digest must equal a byte-by-byte reference scan.  The
+   digest is recomputed here from its definition (RAM size, then index
+   and page digest per resident page), which also pins the format that
+   existing checkpoint files were written in. *)
+let reference_scan (m : Sb_sim.Machine.t) =
+  let ram = Sb_mem.Bus.ram m.Sb_sim.Machine.bus in
+  let size = m.Sb_sim.Machine.ram_size in
+  let page = Snapshot.page_size in
+  let pages = ref [] in
+  for idx = ((size + page - 1) / page) - 1 downto 0 do
+    let addr = idx * page in
+    let data =
+      String.init (min page (size - addr)) (fun i ->
+          Char.chr (Sb_mem.Phys_mem.read8 ram (addr + i)))
+    in
+    if String.exists (fun c -> c <> '\000') data then
+      pages := (idx, data) :: !pages
+  done;
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (string_of_int size);
+  List.iter
+    (fun (idx, data) ->
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int idx);
+      Buffer.add_string buf (Digest.string data))
+    !pages;
+  (!pages, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_save_scan_matches_reference () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let support = Simbench.Engines.support arch in
+  let m = machine_for ~support ~bench:W.mcf.W.bench ~iters:2 in
+  let (_ : Snapshot.t) =
+    Checkpoint.run_to_point
+      ~setup_engine:(Simbench.Engines.interp arch)
+      ~point:Checkpoint.Kernel_phase m
+  in
+  (* on top of mcf's working set: lone bytes at the first and last byte
+     of RAM and at both edges of a page, and a page written then zeroed
+     again, which must count as empty *)
+  let ram = Sb_mem.Bus.ram m.Sb_sim.Machine.bus in
+  let size = m.Sb_sim.Machine.ram_size in
+  List.iter
+    (fun addr -> Sb_mem.Phys_mem.write8 ram addr 0x01)
+    [ 0; size - 1; (4000 * Snapshot.page_size); (4100 * Snapshot.page_size) - 1 ];
+  Sb_mem.Phys_mem.write32 ram ((5000 * Snapshot.page_size) + 24) 0xFFFF_FFFF;
+  Sb_mem.Phys_mem.write32 ram ((5000 * Snapshot.page_size) + 24) 0;
+  let snap = Snapshot.save m in
+  let pages, digest = reference_scan m in
+  Alcotest.(check (list int)) "resident page indices" (List.map fst pages)
+    (List.map fst snap.Snapshot.s_pages);
+  Alcotest.(check bool) "page contents" true (pages = snap.Snapshot.s_pages);
+  Alcotest.(check string) "memory digest" digest snap.Snapshot.s_mem_digest;
+  Alcotest.(check bool) "mcf's working set is resident" true
+    (List.length pages > 100)
+
+(* ------------------------------------------------------------------ *)
 (* Corruption: tampered snapshots and damaged checkpoint files          *)
 (* ------------------------------------------------------------------ *)
 
@@ -483,6 +544,8 @@ let () =
             test_restore_under_fault_plan;
           Alcotest.test_case "verify snapshot-diff at checkpoints" `Quick
             test_verify_snapshot_diff;
+          Alcotest.test_case "save scan = byte-by-byte reference" `Quick
+            test_save_scan_matches_reference;
         ] );
       ( "store",
         [
