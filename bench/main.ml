@@ -39,13 +39,6 @@
    docs/parallel.md for the scheduler and docs/robustness.md for the
    failure-handling model. *)
 
-(* ablation configs share the scale/repeats of the main experiments *)
-let abl (config : Sb_report.Experiments.config) =
-  {
-    Sb_report.Ablations.scale = config.Sb_report.Experiments.scale;
-    repeats = config.Sb_report.Experiments.repeats;
-  }
-
 let experiments =
   [
     ("all", fun config opts -> Sb_report.Experiments.all ~config ~opts ());
@@ -58,19 +51,19 @@ let experiments =
     ("fig8", fun config opts -> Sb_report.Experiments.fig8 ~config ~opts ());
     ("ext", fun config opts -> Sb_report.Experiments.extensions ~config ~opts ());
     ( "abl-chain",
-      fun config opts -> Sb_report.Ablations.chaining ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.chaining ~config ~opts () );
     ( "abl-tlb",
-      fun config opts -> Sb_report.Ablations.page_cache ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.page_cache ~config ~opts () );
     ( "abl-opt",
-      fun config opts -> Sb_report.Ablations.optimiser ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.optimiser ~config ~opts () );
     ( "abl-traces",
-      fun config opts -> Sb_report.Ablations.traces ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.traces ~config ~opts () );
     ( "abl-threaded",
-      fun config opts -> Sb_report.Ablations.threaded ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.threaded ~config ~opts () );
     ( "abl-vmexit",
-      fun config opts -> Sb_report.Ablations.vm_exit ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.vm_exit ~config ~opts () );
     ( "abl-predecode",
-      fun config opts -> Sb_report.Ablations.predecode ~config:(abl config) ~opts () );
+      fun config opts -> Sb_report.Ablations.predecode ~config ~opts () );
     (* excluded from the default run (like "all"): a deliberate
        crash/hang harness check, see docs/robustness.md *)
     ( "synthetic-faults",
@@ -86,24 +79,6 @@ let default_skip = [ "all"; "synthetic-faults" ]
 let json_of_rows ~experiment ~(opts : Sb_report.Experiments.run_opts)
     ~(config : Sb_report.Experiments.config) rows =
   let open Sb_util.Json in
-  let cell (r : Sb_report.Experiments.row) =
-    Obj
-      [
-        ("cell", String r.row_cell);
-        ("engine", String r.row_engine);
-        ("arch", String r.row_arch);
-        ("iters", Int r.row_iters);
-        ("repeats", Int r.row_repeats);
-        ("seconds", Float r.row_seconds);
-        ("mean_seconds", Float r.row_mean_seconds);
-        ("samples", List (List.map (fun s -> Float s) r.row_samples));
-        ("kernel_insns", Int r.row_kernel_insns);
-        ( "kernel_perf",
-          Obj (List.map (fun (name, n) -> (name, Int n)) r.row_perf) );
-        ("status", String r.row_status);
-        ("status_note", String r.row_note);
-      ]
-  in
   Obj
     [
       ("schema", String Sb_regress.Baseline.bench_schema);
@@ -121,7 +96,7 @@ let json_of_rows ~experiment ~(opts : Sb_report.Experiments.run_opts)
                 | None -> "cold"
                 | Some p -> Simbench.Checkpoint.point_to_string p) );
           ] );
-      ("cells", List (List.map cell rows));
+      ("cells", List (List.map Sb_report.Experiments.row_to_json rows));
     ]
 
 let write_json ~dir ~experiment ~opts ~config rows =

@@ -18,10 +18,8 @@
 open Cmdliner
 
 let arch_conv =
-  let parse = function
-    | "sba" | "sba32" | "arm" -> Ok Sb_isa.Arch_sig.Sba
-    | "vlx" | "vlx32" | "x86" -> Ok Sb_isa.Arch_sig.Vlx
-    | s -> Error (`Msg (Printf.sprintf "unknown architecture %S (sba|vlx)" s))
+  let parse s =
+    Result.map_error (fun msg -> `Msg msg) (Simbench.Engines.arch_of_name s)
   in
   let print ppf a = Format.pp_print_string ppf (Sb_isa.Arch_sig.arch_id_name a) in
   Arg.conv (parse, print)
@@ -861,9 +859,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
-            "Persistent result cache shared by every client (and with \
-             $(b,report --cache) runs): identical cells across requests and \
-             restarts cost one simulation.")
+            "Persistent result cache shared by every client: identical \
+             cells across requests and restarts cost one simulation.  The \
+             directory may be the one $(b,report --cache) uses, but the two \
+             never share rows: their keys and stored values differ.")
   in
   let deadline_arg =
     Arg.(
@@ -1571,24 +1570,6 @@ let compare_cmd =
       & info [ "new-engine" ] ~docv:"ENGINE"
           ~doc:"Restrict NEW to one engine label (see --old-engine).")
   in
-  (* Recorded rows carry the canonical label for each DBT configuration
-     (release aliases such as v2.5.0-rc1/-rc2 share v2.5.0-rc0's config),
-     so resolve a requested "dbt:NAME" through the version table before
-     filtering: --new-engine dbt:v2.5.0-rc2 matches dbt:v2.5.0-rc0 rows. *)
-  let canonical_engine label =
-    match String.index_opt label ':' with
-    | Some i when String.sub label 0 i = "dbt" ->
-      let version = String.sub label (i + 1) (String.length label - i - 1) in
-      (match Sb_dbt.Version.find version with
-      | None -> label
-      | Some config ->
-        (match
-           List.find_opt (fun (_, c) -> c = config) Sb_dbt.Version.all
-         with
-        | Some (name, _) -> "dbt:" ^ name
-        | None -> label))
-    | _ -> label
-  in
   let action old_path new_path threshold json strict all_cells old_engine
       new_engine =
     if threshold < 0. then begin
@@ -1603,8 +1584,7 @@ let compare_cmd =
       | Ok old_run, Ok new_run ->
         let apply_filter run = function
           | None -> run
-          | Some engine ->
-            Sb_regress.Baseline.filter_engine run (canonical_engine engine)
+          | Some engine -> Sb_regress.Baseline.filter_engine run engine
         in
         let old_run = apply_filter old_run old_engine in
         let new_run = apply_filter new_run new_engine in

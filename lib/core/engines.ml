@@ -93,16 +93,7 @@ let canonical_name s =
   | [ "gem5" ] -> "detailed"
   | [ "kvm" ] -> "virt"
   | [ "hw" ] -> "native"
-  | [ "dbt"; version ] -> (
-    (* release aliases (v2.5.0-rc1/-rc2 sharing v2.5.0-rc0's config)
-       canonicalise to the first name registered for the configuration,
-       so content-addressed result keys deduplicate across aliases *)
-    match Sb_dbt.Version.find version with
-    | None -> s
-    | Some config -> (
-      match List.find_opt (fun (_, c) -> c = config) Sb_dbt.Version.all with
-      | Some (name, _) -> "dbt@" ^ name
-      | None -> s))
+  | [ "dbt"; version ] -> "dbt@" ^ Sb_dbt.Version.canonical version
   | _ -> s
 
 let paper_set arch =
@@ -120,6 +111,13 @@ let paper_set arch =
     [ ("QEMU-DBT", dbt arch); ("QEMU-KVM", virt arch); ("Hardware", native arch) ]
 
 let all_arches = [ Sb_isa.Arch_sig.Sba; Sb_isa.Arch_sig.Vlx ]
+
+let arch_name arch = pick arch ~sba:"sba" ~vlx:"vlx"
+
+let arch_of_name = function
+  | "sba" | "sba32" | "arm" -> Ok Sb_isa.Arch_sig.Sba
+  | "vlx" | "vlx32" | "x86" -> Ok Sb_isa.Arch_sig.Vlx
+  | s -> Error (Printf.sprintf "unknown architecture %S (sba|vlx)" s)
 
 let support arch : Support.t =
   pick arch ~sba:(module Sba_support : Support.SUPPORT) ~vlx:(module Vlx_support)

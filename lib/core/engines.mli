@@ -42,5 +42,14 @@ val paper_set : arch -> (string * Sb_sim.Engine.t) list
 
 val all_arches : arch list
 
+val arch_name : arch -> string
+(** ["sba"] / ["vlx"]: the arch names of rows, cell specs and cache
+    keys. *)
+
+val arch_of_name : string -> (arch, string) result
+(** Accepts [sba]/[sba32]/[arm] and [vlx]/[vlx32]/[x86]; the shared
+    parser behind the CLI's [--arch] and the serve protocol's ["arch"]
+    field. *)
+
 val support : arch -> Support.t
 (** The matching architecture support package. *)

@@ -87,4 +87,7 @@ let find name = List.assoc_opt name all
 let name_of config =
   Option.map fst (List.find_opt (fun (_, c) -> c = config) all)
 
+let canonical name =
+  match Option.bind (find name) name_of with Some n -> n | None -> name
+
 let names = List.map fst all

@@ -29,3 +29,9 @@ val name_of : Config.t -> string option
 (** Canonical (first-listed) release name shipping exactly this
     configuration; [None] when the configuration is not a registered
     release.  The inverse of {!find} up to release aliasing. *)
+
+val canonical : string -> string
+(** The first-listed release with the same configuration as [name]
+    ([v2.5.0-rc2] is [v2.5.0-rc0]); [name] itself when it is not a
+    registered release.  Equal canonical names mean equal engines, the
+    property content-addressed result keys and engine filters need. *)

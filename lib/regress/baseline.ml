@@ -1,11 +1,9 @@
 module Json = Sb_util.Json
 
 (* schema tags: readers reject anything else with a clear message instead
-   of mis-decoding old files.
-   bench 3: cells gained "status" (failure-as-data); schema-2 files are
-   still readable — the field defaults to "ok". *)
+   of mis-decoding old files.  bench 3: cells gained "status"
+   (failure-as-data). *)
 let bench_schema = "simbench-bench-json-3"
-let bench_schema_compat = [ bench_schema; "simbench-bench-json-2" ]
 let snapshot_schema = "simbench-baseline-1"
 
 let ( let* ) = Result.bind
@@ -45,60 +43,31 @@ let json_of_cell (c : Regress.cell) =
     ]
 
 let cell_of_json ~source ~experiment j =
-  let experiment =
-    match Option.bind (Json.member "experiment" j) Json.string_opt with
-    | Some e -> e
-    | None -> experiment
-  in
-  let* cell = field ~source j "cell" Json.string_opt in
-  let source = Printf.sprintf "%s (cell %S)" source cell in
-  let* engine = field ~source j "engine" Json.string_opt in
-  let* arch = field ~source j "arch" Json.string_opt in
-  let* iters = field ~source j "iters" Json.int_opt in
-  let* repeats = field ~source j "repeats" Json.int_opt in
-  let* seconds = field ~source j "seconds" Json.float_opt in
-  let* mean_seconds = field ~source j "mean_seconds" Json.float_opt in
-  let* samples_json = field ~source j "samples" Json.list_opt in
-  let* samples =
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        match Json.float_opt s with
-        | Some f -> Ok (f :: acc)
-        | None -> error_in ~source "non-numeric entry in \"samples\"")
-      (Ok []) samples_json
-    |> Result.map List.rev
-  in
-  let* kernel_insns = field ~source j "kernel_insns" Json.int_opt in
-  let perf =
-    match Json.member "kernel_perf" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
-        fields
-    | _ -> []
-  in
-  (* absent in schema-2 files and in snapshots taken from them *)
-  let status =
-    match Option.bind (Json.member "status" j) Json.string_opt with
-    | Some s -> s
-    | None -> "ok"
-  in
-  Ok
-    {
-      Regress.experiment;
-      engine;
-      arch;
-      cell;
-      iters;
-      repeats;
-      seconds;
-      mean_seconds;
-      samples;
-      kernel_insns;
-      perf;
-      status;
-    }
+  let str name = Option.bind (Json.member name j) Json.string_opt in
+  match Sb_report.Experiments.row_of_json j with
+  | Error msg ->
+    let source =
+      match str "cell" with
+      | Some cell -> Printf.sprintf "%s (cell %S)" source cell
+      | None -> source
+    in
+    error_in ~source msg
+  | Ok r ->
+    Ok
+      {
+        Regress.experiment = Option.value (str "experiment") ~default:experiment;
+        engine = r.row_engine;
+        arch = r.row_arch;
+        cell = r.row_cell;
+        iters = r.row_iters;
+        repeats = r.row_repeats;
+        seconds = r.row_seconds;
+        mean_seconds = r.row_mean_seconds;
+        samples = r.row_samples;
+        kernel_insns = r.row_kernel_insns;
+        perf = r.row_perf;
+        status = r.row_status;
+      }
 
 let cells_of_json ~source ~experiment j =
   let* cells_json = field ~source j "cells" Json.list_opt in
@@ -144,17 +113,11 @@ let parse ~source s =
   | Ok j -> Ok j
   | Error msg -> error_in ~source msg
 
-let is_bench_schema tag = List.mem tag bench_schema_compat
-
 (* one BENCH_<experiment>.json written by bench/main.exe --json *)
 let load_bench_file path =
   let* s = read_file path in
   let* j = parse ~source:path s in
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.string_opt with
-    | Some tag when is_bench_schema tag -> Ok ()
-    | _ -> check_schema ~source:path ~expected:bench_schema j
-  in
+  let* () = check_schema ~source:path ~expected:bench_schema j in
   let* experiment = field ~source:path j "experiment" Json.string_opt in
   cells_of_json ~source:path ~experiment j
 
@@ -197,7 +160,7 @@ let load path =
     | Some tag when tag = snapshot_schema ->
       let* cells = cells_of_json ~source:path ~experiment:"?" j in
       Ok { Regress.source = path; cells }
-    | Some tag when is_bench_schema tag ->
+    | Some tag when tag = bench_schema ->
       let* experiment = field ~source:path j "experiment" Json.string_opt in
       let* cells = cells_of_json ~source:path ~experiment j in
       Ok { Regress.source = path; cells }
@@ -206,7 +169,15 @@ let load path =
       let* () = check_schema ~source:path ~expected:snapshot_schema j in
       Ok { Regress.source = path; cells = [] }
 
+(* Recorded rows carry the canonical label of each DBT configuration, so a
+   requested "dbt:NAME" goes through the release table first:
+   dbt:v2.5.0-rc2 keeps the dbt:v2.5.0-rc0 cells. *)
 let filter_engine run engine =
+  let engine =
+    match String.split_on_char ':' engine with
+    | [ "dbt"; version ] -> "dbt:" ^ Sb_dbt.Version.canonical version
+    | _ -> engine
+  in
   {
     run with
     Regress.cells =
@@ -228,16 +199,8 @@ let json_of_run (run : Regress.run) =
       ("cells", Json.List (List.map json_of_cell run.Regress.cells));
     ]
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" then ()
-  else if Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_snapshot ~out run =
-  mkdir_p (Filename.dirname out);
+  Sb_jobs.Cache.mkdir_p (Filename.dirname out);
   let oc = open_out out in
   output_string oc (Json.to_string (json_of_run run));
   output_char oc '\n';

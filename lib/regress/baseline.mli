@@ -12,9 +12,8 @@
 
 val bench_schema : string
 (** ["simbench-bench-json-3"] — per-experiment [--json] files; bumped when
-    cells gained the per-cell [status] field.  Schema-2 files (no
-    [status]) are still accepted on read; their cells default to
-    status ["ok"]. *)
+    cells gained the per-cell [status] field.  Files with any other tag,
+    schema 2 included, are rejected with a message naming both tags. *)
 
 val snapshot_schema : string
 (** ["simbench-baseline-1"] — merged baseline snapshots. *)
@@ -26,12 +25,13 @@ val cell_of_json :
   experiment:string ->
   Sb_util.Json.t ->
   (Regress.cell, string) result
-(** [experiment] is the default when the cell object carries none (bench
-    files record it once at top level); errors name [source] and the cell. *)
+(** Decodes the row fields with {!Sb_report.Experiments.row_of_json} and
+    adds the experiment: [experiment] is the default when the cell object
+    carries none (bench files record it once at top level).  Errors name
+    [source] and the cell. *)
 
 val load_bench_file : string -> (Regress.cell list, string) result
-(** One [BENCH_*.json] file; rejects files that are neither
-    {!bench_schema} nor the schema-2 back-compat shape. *)
+(** One [BENCH_*.json] file; rejects files not tagged {!bench_schema}. *)
 
 val load_run_dir : string -> (Regress.run, string) result
 (** Every [BENCH_*.json] in a [--json] output directory, sorted by file
@@ -45,7 +45,10 @@ val load : string -> (Regress.run, string) result
 
 val filter_engine : Regress.run -> string -> Regress.run
 (** Keep only the cells of one engine label (pair with
-    [Regress.compare_runs ~ignore_engine:true]). *)
+    [Regress.compare_runs ~ignore_engine:true]).  A [dbt:NAME] label is
+    first mapped to its canonical release ({!Sb_dbt.Version.canonical}),
+    the label recorded rows carry: [dbt:v2.5.0-rc2] keeps the
+    [dbt:v2.5.0-rc0] cells. *)
 
 val json_of_run : Regress.run -> Sb_util.Json.t
 

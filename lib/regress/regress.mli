@@ -39,7 +39,7 @@ type cell = {
   status : string;
       (** ["ok"], ["retried <n>"] (compared normally), or a terminal
           harness failure (["failed"]/["timeout"]/["quarantined"]:
-          skipped).  Schema-2 files without the field read as ["ok"]. *)
+          skipped). *)
 }
 
 type run = { source : string; cells : cell list }

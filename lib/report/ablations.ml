@@ -1,33 +1,21 @@
 module Tablefmt = Sb_util.Tablefmt
-module Stats = Sb_util.Stats
 module Pool = Sb_jobs.Pool
-
-type config = { scale : int; repeats : int }
-
-let default_config = { scale = 2_000; repeats = 3 }
-let quick_config = { scale = 100_000; repeats = 1 }
 
 let arch = Sb_isa.Arch_sig.Sba
 
-let time ?iters ~config ~engine bench =
-  let support = Simbench.Engines.support arch in
+let time ?iters ~(config : Experiments.config) (label, engine) bench =
   (* floor the iteration count: several benchmarks have small Figure 3
      defaults and a handful of iterations is all noise *)
   let iters =
     match iters with
     | Some n -> n
-    | None -> max 1_000 (bench.Simbench.Bench.default_iters / config.scale)
+    | None ->
+      max 1_000 (bench.Simbench.Bench.default_iters / config.Experiments.scale)
   in
-  let rec go acc n =
-    if n = 0 then acc
-    else
-      go
-        ((Simbench.Harness.run ~iters ~support ~engine bench)
-           .Simbench.Harness.kernel_seconds
-        :: acc)
-        (n - 1)
-  in
-  Stats.min_of_repeats (go [] (max 1 config.repeats))
+  (Experiments.measure ~label ~arch ~cell:bench.Simbench.Bench.name
+     ~repeats:config.Experiments.repeats ~iters ~engine
+     (Experiments.Bench bench))
+    .Experiments.row_seconds
 
 (* One table: rows = benchmarks, columns = engine variants.  Each variant
    column is one pool task; the engine variants are closures, so the
@@ -39,7 +27,8 @@ let sweep ?iters ?(opts = Experiments.sequential) ~config ~title ~benches
       (fun (label, engine) ->
         Pool.task ~label (fun () ->
             List.map
-              (fun b -> (b.Simbench.Bench.name, time ?iters ~config ~engine b))
+              (fun b ->
+                (b.Simbench.Bench.name, time ?iters ~config (label, engine) b))
               benches))
       variants
   in
@@ -81,7 +70,7 @@ let sweep ?iters ?(opts = Experiments.sequential) ~config ~title ~benches
 
 let dbt_with f = Simbench.Engines.dbt_configured arch (f Sb_dbt.Config.default)
 
-let chaining ?(config = default_config) ?opts () =
+let chaining ?(config = Experiments.default_config) ?opts () =
   sweep ?opts ~config
     ~title:
       "Ablation: DBT block chaining.  Chaining pays on direct control flow\n\
@@ -104,7 +93,7 @@ let chaining ?(config = default_config) ?opts () =
       ]
     ()
 
-let page_cache ?(config = default_config) ?opts () =
+let page_cache ?(config = Experiments.default_config) ?opts () =
   let geometry l1 l2 lazy_ =
     dbt_with (fun c ->
         {
@@ -136,7 +125,7 @@ let page_cache ?(config = default_config) ?opts () =
       ]
     ()
 
-let optimiser ?(config = default_config) ?opts () =
+let optimiser ?(config = Experiments.default_config) ?opts () =
   let passes n = dbt_with (fun c -> { c with Sb_dbt.Config.opt_passes = n }) in
   sweep ?opts ~config
     ~title:
@@ -155,7 +144,7 @@ let optimiser ?(config = default_config) ?opts () =
       [ ("O0", passes 0); ("O1", passes 1); ("O2", passes 2); ("O4", passes 4) ]
     ()
 
-let vm_exit ?(config = default_config) ?opts () =
+let vm_exit ?(config = Experiments.default_config) ?opts () =
   let virt rounds =
     match arch with
     | Sb_isa.Arch_sig.Sba ->
@@ -190,7 +179,7 @@ let vm_exit ?(config = default_config) ?opts () =
       ]
     ()
 
-let predecode ?(config = default_config) ?opts () =
+let predecode ?(config = Experiments.default_config) ?opts () =
   let interp predecode =
     Simbench.Engines.interp_configured arch
       { Sb_interp.Interp.Config.default with Sb_interp.Interp.Config.predecode }
@@ -209,7 +198,7 @@ let predecode ?(config = default_config) ?opts () =
     ~variants:[ ("predecode", interp true); ("decode-always", interp false) ]
     ()
 
-let traces ?(config = default_config) ?opts () =
+let traces ?(config = Experiments.default_config) ?opts () =
   let trace threshold blocks =
     dbt_with (fun c ->
         { c with Sb_dbt.Config.trace_threshold = threshold; max_trace_blocks = blocks })
@@ -237,7 +226,7 @@ let traces ?(config = default_config) ?opts () =
       ]
     ()
 
-let threaded ?(config = default_config) ?opts () =
+let threaded ?(config = Experiments.default_config) ?opts () =
   let backend threaded reg_cache =
     dbt_with (fun c -> { c with Sb_dbt.Config.threaded; reg_cache })
   in
@@ -264,7 +253,7 @@ let threaded ?(config = default_config) ?opts () =
       ]
     ()
 
-let all ?(config = default_config) ?opts () =
+let all ?(config = Experiments.default_config) ?opts () =
   String.concat "\n\n"
     [
       chaining ~config ?opts ();

@@ -1,3 +1,4 @@
+module Json = Sb_util.Json
 module Tablefmt = Sb_util.Tablefmt
 module Stats = Sb_util.Stats
 module Pool = Sb_jobs.Pool
@@ -45,10 +46,6 @@ let sequential = { jobs = 1; cache_dir = None; deadline = None; retries = 0 }
 let arch_label = function
   | Sb_isa.Arch_sig.Sba -> "ARM Guest (SBA-32)"
   | Sb_isa.Arch_sig.Vlx -> "x86 Guest (VLX-32)"
-
-let arch_name = function
-  | Sb_isa.Arch_sig.Sba -> "sba"
-  | Sb_isa.Arch_sig.Vlx -> "vlx"
 
 (* ------------------------------------------------------------------ *)
 (* Measurement cells                                                    *)
@@ -109,25 +106,48 @@ let record rows =
 let recorded () =
   List.sort compare (Hashtbl.fold (fun _ r acc -> r :: acc) records [])
 
-let times_of_repeats ~repeats f =
-  let rec go acc n = if n = 0 then List.rev acc else go (f () :: acc) (n - 1) in
-  go [] (max 1 repeats)
+(* ------------------------------------------------------------------ *)
+(* The row path: every driver measures, fails and encodes a cell here   *)
+(* ------------------------------------------------------------------ *)
 
-let row_of ~label ~arch ~repeats ~cell run1 =
-  let first = ref None in
-  let times =
-    times_of_repeats ~repeats (fun () ->
-        let o = run1 () in
-        if !first = None then first := Some o;
-        o.Simbench.Harness.kernel_seconds)
+type target = Bench of Simbench.Bench.t | Workload of Sb_workloads.Workloads.t
+
+let target_of_name name =
+  match Simbench.Suite.find name with
+  | Some b -> Ok (Bench b)
+  | None -> (
+    match Simbench.Suite_ext.find name with
+    | Some b -> Ok (Bench b)
+    | None -> (
+      match Sb_workloads.Workloads.find name with
+      | Some w -> Ok (Workload w)
+      | None -> Error (Printf.sprintf "unknown benchmark or workload %S" name)))
+
+let measure ~label ~arch ~cell ~repeats ?scale ?iters ?switch_at ?checkpoints
+    ~engine target =
+  let support = Simbench.Engines.support arch in
+  let run1 () =
+    match target with
+    | Bench b ->
+      Simbench.Harness.run ?scale ?iters ?switch_at ?checkpoints ~support
+        ~engine b
+    | Workload w ->
+      Sb_workloads.Workloads.run ?iters ?switch_at ?checkpoints ~support ~engine
+        w
   in
-  let o = Option.get !first in
+  let o = run1 () in
+  let rec more acc n =
+    if n = 0 then List.rev acc
+    else more ((run1 ()).Simbench.Harness.kernel_seconds :: acc) (n - 1)
+  in
+  let repeats = max 1 repeats in
+  let times = more [ o.Simbench.Harness.kernel_seconds ] (repeats - 1) in
   {
     row_cell = cell;
     row_engine = label;
-    row_arch = arch_name arch;
+    row_arch = Simbench.Engines.arch_name arch;
     row_iters = o.Simbench.Harness.iters;
-    row_repeats = max 1 repeats;
+    row_repeats = repeats;
     row_seconds = Stats.min_of_repeats times;
     row_mean_seconds = Stats.mean times;
     row_samples = times;
@@ -143,23 +163,13 @@ let row_of ~label ~arch ~repeats ~cell run1 =
     row_note = "";
   }
 
-(* ------------------------------------------------------------------ *)
-(* Failure as data: a cell the pool could not produce becomes rows with  *)
-(* a non-ok status instead of an exception that sinks the whole run.     *)
-(* ------------------------------------------------------------------ *)
-
-let status_of_failure (f : Pool.failure) =
-  match f.Pool.fl_kind with
-  | Pool.Crashed -> "failed"
-  | Pool.Timed_out -> "timeout"
-  | Pool.Quarantined -> "quarantined"
-  | Pool.Cancelled -> "cancelled"
-
+(* Failure as data: a cell the pool could not produce becomes a row with a
+   non-ok status instead of an exception that sinks the whole run. *)
 let failure_row ~arch ~label ~cell (f : Pool.failure) =
   {
     row_cell = cell;
     row_engine = label;
-    row_arch = arch_name arch;
+    row_arch = arch;
     row_iters = 0;
     row_repeats = 0;
     row_seconds = nan;
@@ -167,16 +177,96 @@ let failure_row ~arch ~label ~cell (f : Pool.failure) =
     row_samples = [];
     row_kernel_insns = 0;
     row_perf = [];
-    row_status = status_of_failure f;
+    row_status =
+      (match f.Pool.fl_kind with
+      | Pool.Crashed -> "failed"
+      | Pool.Timed_out -> "timeout"
+      | Pool.Quarantined -> "quarantined"
+      | Pool.Cancelled -> "cancelled");
     row_note = f.Pool.fl_detail;
   }
 
-let mark_retried n rows =
-  List.map (fun r -> { r with row_status = Printf.sprintf "retried %d" n }) rows
+let mark_retried n r = { r with row_status = Printf.sprintf "retried %d" n }
+
+let row_to_json r =
+  Json.Obj
+    [
+      ("cell", Json.String r.row_cell);
+      ("engine", Json.String r.row_engine);
+      ("arch", Json.String r.row_arch);
+      ("iters", Json.Int r.row_iters);
+      ("repeats", Json.Int r.row_repeats);
+      ("seconds", Json.Float r.row_seconds);
+      ("mean_seconds", Json.Float r.row_mean_seconds);
+      ("samples", Json.List (List.map (fun s -> Json.Float s) r.row_samples));
+      ("kernel_insns", Json.Int r.row_kernel_insns);
+      ( "kernel_perf",
+        Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) r.row_perf) );
+      ("status", Json.String r.row_status);
+      ("status_note", Json.String r.row_note);
+    ]
+
+let row_of_json j =
+  let ( let* ) = Result.bind in
+  let field kind decode name =
+    match Option.bind (Json.member name j) decode with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "row: missing %s field %S" kind name)
+  in
+  let str = field "string" Json.string_opt in
+  let int = field "integer" Json.int_opt in
+  let num = field "number" Json.float_opt in
+  let* cell = str "cell" in
+  let* engine = str "engine" in
+  let* arch = str "arch" in
+  let* iters = int "iters" in
+  let* repeats = int "repeats" in
+  let* seconds = num "seconds" in
+  let* mean_seconds = num "mean_seconds" in
+  let* samples = field "array" Json.list_opt "samples" in
+  let* samples =
+    List.fold_left
+      (fun acc s ->
+        let* acc = acc in
+        match Json.float_opt s with
+        | Some f -> Ok (f :: acc)
+        | None -> Error "row: non-numeric entry in \"samples\"")
+      (Ok []) samples
+    |> Result.map List.rev
+  in
+  let* kernel_insns = int "kernel_insns" in
+  let perf =
+    match Json.member "kernel_perf" j with
+    | Some (Json.Obj fields) ->
+      List.filter_map
+        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
+        fields
+    | _ -> []
+  in
+  let* status = str "status" in
+  let note =
+    Option.value ~default:""
+      (Option.bind (Json.member "status_note" j) Json.string_opt)
+  in
+  Ok
+    {
+      row_cell = cell;
+      row_engine = engine;
+      row_arch = arch;
+      row_iters = iters;
+      row_repeats = repeats;
+      row_seconds = seconds;
+      row_mean_seconds = mean_seconds;
+      row_samples = samples;
+      row_kernel_insns = kernel_insns;
+      row_perf = perf;
+      row_status = status;
+      row_note = note;
+    }
 
 let version_label dbt_config =
-  match List.find_opt (fun (_, c) -> c = dbt_config) Sb_dbt.Version.all with
-  | Some (name, _) -> "dbt:" ^ name
+  match Sb_dbt.Version.name_of dbt_config with
+  | Some name -> "dbt:" ^ name
   | None -> "dbt:custom"
 
 (* Checkpoint store for fast-forwarded cells: shares the result cache's
@@ -189,29 +279,34 @@ let checkpoint_store ~config ~ckpt_dir =
   | Some _, Some dir -> Some (Simbench.Checkpoint.open_store ~dir)
   | _ -> None
 
-(* runs inside a pool worker: must touch no shared mutable state *)
-let compute_cell ~config ~ckpt_dir ~arch ~kind dbt_config =
-  let support = Simbench.Engines.support arch in
-  let engine = Simbench.Engines.dbt_configured arch dbt_config in
-  let label = version_label dbt_config in
-  let checkpoints = checkpoint_store ~config ~ckpt_dir in
-  match kind with
-  | `Suite ->
+let bench_targets benches =
+  List.map (fun b -> (b.Simbench.Bench.name, Bench b)) benches
+
+let kind_targets = function
+  | `Suite -> bench_targets Simbench.Suite.all
+  | `Workloads _ ->
     List.map
-      (fun bench ->
-        row_of ~label ~arch ~repeats:config.repeats
-          ~cell:bench.Simbench.Bench.name (fun () ->
-            Simbench.Harness.run ~scale:config.scale ?switch_at:config.switch_at
-              ?checkpoints ~support ~engine bench))
-      Simbench.Suite.all
-  | `Workloads iters ->
-    List.map
-      (fun w ->
-        row_of ~label ~arch ~repeats:config.repeats
-          ~cell:w.Sb_workloads.Workloads.name (fun () ->
-            Sb_workloads.Workloads.run ~iters ?switch_at:config.switch_at
-              ?checkpoints ~support ~engine w))
+      (fun w -> (w.Sb_workloads.Workloads.name, Workload w))
       Sb_workloads.Workloads.all
+
+(* One engine over named targets.  Runs inside a pool worker, so it must
+   touch no shared mutable state.  With a switch point set, the first run
+   of a bench fast-forwards setup once and every later (engine, repeat)
+   run of the same bench restores that checkpoint: the store key excludes
+   the timed engine (per-insn engines share one interpreter-produced boot;
+   the block-granular DBT keeps its own, see {!Simbench.Harness.run}). *)
+let compute_column ~config ~ckpt_dir ~arch ?iters targets (label, engine) =
+  let checkpoints = checkpoint_store ~config ~ckpt_dir in
+  List.map
+    (fun (cell, target) ->
+      measure ~label ~arch ~cell ~repeats:config.repeats ~scale:config.scale
+        ?iters ?switch_at:config.switch_at ?checkpoints ~engine target)
+    targets
+
+let compute_cell ~config ~ckpt_dir ~arch ~kind dbt_config =
+  let iters = match kind with `Suite -> None | `Workloads n -> Some n in
+  compute_column ~config ~ckpt_dir ~arch ?iters (kind_targets kind)
+    (version_label dbt_config, Simbench.Engines.dbt_configured arch dbt_config)
 
 let key_of ~config ~arch ~kind dbt_config =
   {
@@ -241,12 +336,17 @@ let run_pool ~opts tasks =
   Pool.run ~jobs:opts.jobs ?cache:(cache_of opts) ?deadline:opts.deadline
     ~retries:opts.retries tasks
 
-let kind_cells = function
-  | `Suite -> List.map (fun b -> b.Simbench.Bench.name) Simbench.Suite.all
-  | `Workloads _ ->
-    List.map
-      (fun w -> w.Sb_workloads.Workloads.name)
-      Sb_workloads.Workloads.all
+(* The rows of one pool task: a late success is marked retried, and a lost
+   task (crash, timeout, quarantine) becomes one failure row per cell, so
+   figures render with gaps and --json records what happened instead of
+   the whole experiment aborting. *)
+let rows_of_outcome ~arch ~label ~cells = function
+  | Pool.Done rows -> rows
+  | Pool.Retried (rows, n) -> List.map (mark_retried n) rows
+  | Pool.Failed f ->
+    Printf.eprintf "[sb-report] %s\n%!" (Pool.failure_message f);
+    let arch = Simbench.Engines.arch_name arch in
+    List.map (fun cell -> failure_row ~arch ~label ~cell f) cells
 
 (* Compute any not-yet-memoized cells, farming them out to the pool.  One
    cell = one (dbt-version config, arch, suite-or-workloads) sweep; cells
@@ -272,8 +372,8 @@ let prefetch ?(opts = sequential) ~config cells =
           Pool.task
             ~key:(cell_fingerprint ~config ~arch ~kind dbt)
             ~label:
-              (Printf.sprintf "%s/%s/%s" (version_label dbt) (arch_name arch)
-                 (kind_name kind))
+              (Printf.sprintf "%s/%s/%s" (version_label dbt)
+                 (Simbench.Engines.arch_name arch) (kind_name kind))
             (fun () ->
               compute_cell ~config ~ckpt_dir:opts.cache_dir ~arch ~kind dbt))
         todo
@@ -282,18 +382,9 @@ let prefetch ?(opts = sequential) ~config cells =
     List.iter2
       (fun (arch, kind, dbt) outcome ->
         let rows =
-          match outcome with
-          | Pool.Done rows -> rows
-          | Pool.Retried (rows, n) -> mark_retried n rows
-          | Pool.Failed f ->
-            (* the cell is gone (crash/timeout/quarantine) but the run is
-               not: every bench of the cell becomes a non-ok placeholder
-               row, so figures render with gaps and --json records what
-               happened instead of the whole experiment aborting *)
-            Printf.eprintf "[sb-report] cell %s\n%!" (Pool.failure_message f);
-            List.map
-              (fun cell -> failure_row ~arch ~label:(version_label dbt) ~cell f)
-              (kind_cells kind)
+          rows_of_outcome ~arch ~label:(version_label dbt)
+            ~cells:(List.map fst (kind_targets kind))
+            outcome
         in
         Hashtbl.replace memo (key_of ~config ~arch ~kind dbt) rows)
       todo results
@@ -362,23 +453,6 @@ let version_cells ~arch ~kind () =
 (* Paper-engine columns (Figures 7 and the extension table)             *)
 (* ------------------------------------------------------------------ *)
 
-(* runs inside a pool worker, like [compute_cell].  With a switch point
-   set, the first bench run of the grid fast-forwards setup once and every
-   later (engine, repeat) cell of the same bench restores that checkpoint:
-   the store key excludes the timed engine (per-insn engines share one
-   interpreter-produced boot; the block-granular DBT keeps its own, see
-   {!Simbench.Harness.run}). *)
-let compute_column ~config ~ckpt_dir ~arch ~benches (label, engine) =
-  let support = Simbench.Engines.support arch in
-  let checkpoints = checkpoint_store ~config ~ckpt_dir in
-  List.map
-    (fun bench ->
-      row_of ~label ~arch ~repeats:config.repeats ~cell:bench.Simbench.Bench.name
-        (fun () ->
-          Simbench.Harness.run ~scale:config.scale ?switch_at:config.switch_at
-            ?checkpoints ~support ~engine bench))
-    benches
-
 let column_fingerprint ~config ~arch ~tag (label, engine) =
   Cache.fingerprint
     ( "simbench-column",
@@ -391,14 +465,17 @@ let column_fingerprint ~config ~arch ~tag (label, engine) =
       switch_name config.switch_at )
 
 let engine_columns ~opts ~config ~arch ~tag ~benches engines =
+  let targets = bench_targets benches in
   let tasks =
     List.map
       (fun (label, engine) ->
         Pool.task
           ~key:(column_fingerprint ~config ~arch ~tag (label, engine))
-          ~label:(Printf.sprintf "%s/%s/%s" tag label (arch_name arch))
+          ~label:
+            (Printf.sprintf "%s/%s/%s" tag label
+               (Simbench.Engines.arch_name arch))
           (fun () ->
-            compute_column ~config ~ckpt_dir:opts.cache_dir ~arch ~benches
+            compute_column ~config ~ckpt_dir:opts.cache_dir ~arch targets
               (label, engine)))
       engines
   in
@@ -406,14 +483,7 @@ let engine_columns ~opts ~config ~arch ~tag ~benches engines =
   List.map2
     (fun (label, _) outcome ->
       let rows =
-        match outcome with
-        | Pool.Done rows -> rows
-        | Pool.Retried (rows, n) -> mark_retried n rows
-        | Pool.Failed f ->
-          Printf.eprintf "[sb-report] column %s\n%!" (Pool.failure_message f);
-          List.map
-            (fun b -> failure_row ~arch ~label ~cell:b.Simbench.Bench.name f)
-            benches
+        rows_of_outcome ~arch ~label ~cells:(List.map fst targets) outcome
       in
       record rows;
       (label, times_tbl rows))
@@ -716,16 +786,16 @@ let synthetic_faults ?(opts = sequential) () =
   let outcomes =
     Pool.run ~jobs ~stats ~deadline ~retries:opts.retries (List.map snd tasks)
   in
-  let base cell =
+  let ok_row cell v =
     {
       row_cell = cell;
       row_engine = "synthetic";
       row_arch = "host";
       row_iters = 1;
       row_repeats = 1;
-      row_seconds = nan;
-      row_mean_seconds = nan;
-      row_samples = [];
+      row_seconds = v;
+      row_mean_seconds = v;
+      row_samples = [ v ];
       row_kernel_insns = 0;
       row_perf = [];
       row_status = "ok";
@@ -734,25 +804,10 @@ let synthetic_faults ?(opts = sequential) () =
   in
   let rows =
     List.map2
-      (fun (cell, _) outcome ->
-        match outcome with
-        | Pool.Done v ->
-          { (base cell) with
-            row_seconds = v;
-            row_mean_seconds = v;
-            row_samples = [ v ] }
-        | Pool.Retried (v, n) ->
-          { (base cell) with
-            row_seconds = v;
-            row_mean_seconds = v;
-            row_samples = [ v ];
-            row_status = Printf.sprintf "retried %d" n }
-        | Pool.Failed f ->
-          { (base cell) with
-            row_iters = 0;
-            row_repeats = 0;
-            row_status = status_of_failure f;
-            row_note = f.Pool.fl_detail })
+      (fun (cell, _) -> function
+        | Pool.Done v -> ok_row cell v
+        | Pool.Retried (v, n) -> mark_retried n (ok_row cell v)
+        | Pool.Failed f -> failure_row ~arch:"host" ~label:"synthetic" ~cell f)
       tasks outcomes
   in
   record rows;

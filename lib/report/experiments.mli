@@ -83,6 +83,56 @@ type row = {
   row_note : string;  (** failure detail; empty when ok *)
 }
 
+(** {2 The row path}
+
+    Every driver — the figure sweeps, {!Ablations}, the serve daemon,
+    [Sb_regress.Baseline] and [bench/main.exe --json] — measures, fails
+    and encodes a cell through these functions. *)
+
+type target = Bench of Simbench.Bench.t | Workload of Sb_workloads.Workloads.t
+
+val target_of_name : string -> (target, string) result
+(** A suite bench, then an extension bench (both case-insensitive), then a
+    workload. *)
+
+val measure :
+  label:string ->
+  arch:Sb_isa.Arch_sig.arch_id ->
+  cell:string ->
+  repeats:int ->
+  ?scale:int ->
+  ?iters:int ->
+  ?switch_at:Simbench.Checkpoint.point ->
+  ?checkpoints:Simbench.Checkpoint.store ->
+  engine:Sb_sim.Engine.t ->
+  target ->
+  row
+(** Run [target] [max 1 repeats] times through {!Simbench.Harness.run} or
+    {!Sb_workloads.Workloads.run} ([scale] applies to benches only) and
+    make its row: minimum and mean kernel seconds over the repeats, plus
+    the iterations, kernel instructions and kernel counters of the first
+    run.  [label] and [cell] become [row_engine] and [row_cell] as given.
+    Raises on a guest failure; inside a pool worker that becomes a
+    [Failed] outcome. *)
+
+val failure_row :
+  arch:string -> label:string -> cell:string -> Sb_jobs.Pool.failure -> row
+(** The placeholder row of a cell the pool could not produce: status
+    ["failed"], ["timeout"], ["quarantined"] or ["cancelled"], [nan]
+    seconds, zero counts, and the failure detail as [row_note]. *)
+
+val mark_retried : int -> row -> row
+(** Status ["retried <n>"]: the row succeeded after [n] crashed attempts. *)
+
+val row_to_json : row -> Sb_util.Json.t
+(** The cell object of [bench/main.exe --json] files and of serve [row]
+    frames; [nan] seconds encode as [null]. *)
+
+val row_of_json : Sb_util.Json.t -> (row, string) result
+(** Inverse of {!row_to_json}.  Errors start with ["row: "] and name the
+    missing or ill-typed field; ["kernel_perf"] and ["status_note"] are
+    optional. *)
+
 val reset_memo : unit -> unit
 (** Drop the in-process memo (tests use this to force re-measurement). *)
 

@@ -19,14 +19,7 @@ type cell_spec = {
   sp_repeats : int;
 }
 
-let arch_name = function
-  | Sb_isa.Arch_sig.Sba -> "sba"
-  | Sb_isa.Arch_sig.Vlx -> "vlx"
-
-let arch_of_name = function
-  | "sba" | "sba32" | "arm" -> Ok Sb_isa.Arch_sig.Sba
-  | "vlx" | "vlx32" | "x86" -> Ok Sb_isa.Arch_sig.Vlx
-  | s -> Error (Printf.sprintf "unknown architecture %S (sba|vlx)" s)
+let arch_name = Simbench.Engines.arch_name
 
 let spec_label sp =
   Printf.sprintf "%s/%s/%s" sp.sp_engine (arch_name sp.sp_arch) sp.sp_bench
@@ -58,16 +51,22 @@ let spec_to_json sp =
 
 let ( let* ) = Result.bind
 
-let str_field obj name =
-  match Option.bind (Json.member name obj) Json.string_opt with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "cell spec: missing string field %S" name)
+(* [what] names the object being decoded, so an error says where the field
+   is missing: "hello response: missing string field \"session\"". *)
+let field kind decode what obj name =
+  match Option.bind (Json.member name obj) decode with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing %s field %S" what kind name)
+
+let str_field = field "string" Json.string_opt
+let int_field = field "integer" Json.int_opt
+let float_field = field "number" Json.float_opt
 
 let spec_of_json j =
-  let* bench = str_field j "bench" in
-  let* engine = str_field j "engine" in
-  let* arch_s = str_field j "arch" in
-  let* arch = arch_of_name arch_s in
+  let* bench = str_field "cell spec" j "bench" in
+  let* engine = str_field "cell spec" j "engine" in
+  let* arch_s = str_field "cell spec" j "arch" in
+  let* arch = Simbench.Engines.arch_of_name arch_s in
   let* iters =
     match Json.member "iters" j with
     | None | Some Json.Null -> Ok None
@@ -107,97 +106,8 @@ let specs_of_json j =
         (Ok []) cells
       |> Result.map List.rev
 
-(* ------------------------------------------------------------------ *)
-(* Rows: the same cell shape bench/main.exe --json writes, so serve     *)
-(* output feeds straight into Sb_regress.Baseline readers.              *)
-(* ------------------------------------------------------------------ *)
-
-let row_to_json (r : Sb_report.Experiments.row) =
-  Json.Obj
-    [
-      ("cell", Json.String r.Sb_report.Experiments.row_cell);
-      ("engine", Json.String r.Sb_report.Experiments.row_engine);
-      ("arch", Json.String r.Sb_report.Experiments.row_arch);
-      ("iters", Json.Int r.Sb_report.Experiments.row_iters);
-      ("repeats", Json.Int r.Sb_report.Experiments.row_repeats);
-      ("seconds", Json.Float r.Sb_report.Experiments.row_seconds);
-      ("mean_seconds", Json.Float r.Sb_report.Experiments.row_mean_seconds);
-      ( "samples",
-        Json.List
-          (List.map
-             (fun s -> Json.Float s)
-             r.Sb_report.Experiments.row_samples) );
-      ("kernel_insns", Json.Int r.Sb_report.Experiments.row_kernel_insns);
-      ( "kernel_perf",
-        Json.Obj
-          (List.map
-             (fun (name, n) -> (name, Json.Int n))
-             r.Sb_report.Experiments.row_perf) );
-      ("status", Json.String r.Sb_report.Experiments.row_status);
-      ("status_note", Json.String r.Sb_report.Experiments.row_note);
-    ]
-
-let int_field obj name =
-  match Option.bind (Json.member name obj) Json.int_opt with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "row: missing integer field %S" name)
-
-let float_field obj name =
-  match Option.bind (Json.member name obj) Json.float_opt with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "row: missing number field %S" name)
-
-let row_of_json j =
-  let* cell = str_field j "cell" in
-  let* engine = str_field j "engine" in
-  let* arch = str_field j "arch" in
-  let* iters = int_field j "iters" in
-  let* repeats = int_field j "repeats" in
-  let* seconds = float_field j "seconds" in
-  let* mean_seconds = float_field j "mean_seconds" in
-  let* samples =
-    match Option.bind (Json.member "samples" j) Json.list_opt with
-    | None -> Error "row: missing \"samples\" array"
-    | Some l ->
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match Json.float_opt s with
-          | Some f -> Ok (f :: acc)
-          | None -> Error "row: non-numeric entry in \"samples\"")
-        (Ok []) l
-      |> Result.map List.rev
-  in
-  let* kernel_insns = int_field j "kernel_insns" in
-  let perf =
-    match Json.member "kernel_perf" j with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (name, v) -> Option.map (fun n -> (name, n)) (Json.int_opt v))
-        fields
-    | _ -> []
-  in
-  let* status = str_field j "status" in
-  let note =
-    match Option.bind (Json.member "status_note" j) Json.string_opt with
-    | Some s -> s
-    | None -> ""
-  in
-  Ok
-    {
-      Sb_report.Experiments.row_cell = cell;
-      row_engine = engine;
-      row_arch = arch;
-      row_iters = iters;
-      row_repeats = repeats;
-      row_seconds = seconds;
-      row_mean_seconds = mean_seconds;
-      row_samples = samples;
-      row_kernel_insns = kernel_insns;
-      row_perf = perf;
-      row_status = status;
-      row_note = note;
-    }
+let row_to_json = Sb_report.Experiments.row_to_json
+let row_of_json = Sb_report.Experiments.row_of_json
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                             *)
@@ -271,7 +181,7 @@ let request_of_json j =
     let* id = id_of j in
     Ok (Cancel { id })
   | "ping" ->
-    let* seq = int_field j "seq" in
+    let* seq = int_field "ping request" j "seq" in
     Ok (Ping { seq })
   | "status" -> Ok Status
   | "dump" -> Ok Dump
@@ -359,6 +269,10 @@ let response_to_json = function
 let response_of_json j =
   let* () = check_schema j in
   let* op = op_of j in
+  let what = op ^ " response" in
+  let str_field = str_field what
+  and int_field = int_field what
+  and float_field = float_field what in
   match op with
   | "hello" ->
     let* session = str_field j "session" in

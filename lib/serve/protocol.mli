@@ -18,10 +18,14 @@
     [submit] frames may be flagged [resume] so reconnections are counted
     by the server.
 
-    Row cells reuse the exact JSON shape of [bench/main.exe --json] cells,
-    so rows streamed from a server feed straight into
-    [Sb_regress.Baseline.cell_of_json] and the [compare]/[baseline]
-    verbs. *)
+    A [row] frame's cell is {!Sb_report.Experiments.row_to_json} of the
+    row, the cell object of [bench/main.exe --json] files, so rows
+    streamed from a server decode with the same
+    {!Sb_report.Experiments.row_of_json} that [Sb_regress.Baseline] and
+    the [compare]/[baseline] verbs use.  A missing or ill-typed field is
+    reported against the object that lacks it: ["cell spec: ..."],
+    ["row: ..."], or ["<op> request: ..."] / ["<op> response: ..."] for
+    the fields of a frame. *)
 
 module Json = Sb_util.Json
 
@@ -43,10 +47,7 @@ type cell_spec = {
 }
 
 val arch_name : Sb_isa.Arch_sig.arch_id -> string
-(** ["sba"] / ["vlx"] — the row-JSON arch names. *)
-
-val arch_of_name : string -> (Sb_isa.Arch_sig.arch_id, string) result
-(** Accepts [sba]/[sba32]/[arm] and [vlx]/[vlx32]/[x86]. *)
+(** {!Simbench.Engines.arch_name}: ["sba"] / ["vlx"]. *)
 
 val spec_label : cell_spec -> string
 (** ["engine/arch/bench"], for logs and failure rows. *)
@@ -66,7 +67,10 @@ val specs_of_json : Json.t -> (cell_spec list, string) result
 (** {2 Rows} *)
 
 val row_to_json : Sb_report.Experiments.row -> Json.t
+(** {!Sb_report.Experiments.row_to_json}. *)
+
 val row_of_json : Json.t -> (Sb_report.Experiments.row, string) result
+(** {!Sb_report.Experiments.row_of_json}. *)
 
 (** {2 Requests (client to server)} *)
 

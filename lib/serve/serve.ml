@@ -1,6 +1,7 @@
 module Json = Sb_util.Json
 module Pool = Sb_jobs.Pool
 module Cache = Sb_jobs.Cache
+module Experiments = Sb_report.Experiments
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -89,7 +90,7 @@ type client = {
 type t = {
   cfg : config;
   listeners : Unix.file_descr list;
-  sched : Sb_report.Experiments.row Pool.Sched.t;
+  sched : Experiments.row Pool.Sched.t;
   pool_stats : Pool.stats;
   clients : (int, client) Hashtbl.t;
   flights : (string, flight) Hashtbl.t;
@@ -279,6 +280,11 @@ let deliver t w ~key ~cached ~json ~failed =
       send t c (Protocol.Row { id = j.j_id; key; cached; cell = json });
       maybe_finish t c j)
 
+let failure_row (sp : Protocol.cell_spec) f =
+  Experiments.failure_row
+    ~arch:(Simbench.Engines.arch_name sp.sp_arch)
+    ~label:sp.sp_engine ~cell:sp.sp_bench f
+
 let on_outcome t key ~live outcome =
   match Hashtbl.find_opt t.flights key with
   | None -> ()
@@ -290,15 +296,10 @@ let on_outcome t key ~live outcome =
     let row, failed =
       match outcome with
       | Pool.Done r -> (r, false)
-      | Pool.Retried (r, n) ->
-        ( {
-            r with
-            Sb_report.Experiments.row_status = Printf.sprintf "retried %d" n;
-          },
-          false )
-      | Pool.Failed f -> (Compute.failure_row fl.f_spec f, true)
+      | Pool.Retried (r, n) -> (Experiments.mark_retried n r, false)
+      | Pool.Failed f -> (failure_row fl.f_spec f, true)
     in
-    let json = Protocol.row_to_json row in
+    let json = Experiments.row_to_json row in
     if not failed then Hashtbl.replace t.produced key json;
     List.iteri
       (fun i w -> deliver t w ~key ~cached:(cached || i > 0) ~json ~failed)
@@ -307,6 +308,26 @@ let on_outcome t key ~live outcome =
 (* ------------------------------------------------------------------ *)
 (* Dispatch and backpressure                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* A spec's engine and target.  Runs at submit time, so a bad job is
+   rejected whole with one error frame, and again inside the pool worker,
+   which rebuilds everything from the spec's plain strings. *)
+let resolve (sp : Protocol.cell_spec) =
+  match Simbench.Engines.of_string sp.sp_arch sp.sp_engine with
+  | Error msg -> Error msg
+  | Ok engine ->
+    Result.map
+      (fun target -> (engine, target))
+      (Experiments.target_of_name sp.sp_bench)
+
+(* The pool-worker thunk; raises on an invalid spec or a guest failure,
+   which the pool reports as a [Failed] outcome. *)
+let measure (sp : Protocol.cell_spec) =
+  match resolve sp with
+  | Error msg -> failwith msg
+  | Ok (engine, target) ->
+    Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch ~cell:sp.sp_bench
+      ~repeats:sp.sp_repeats ?iters:sp.sp_iters ~engine target
 
 let dispatch_cell t c j sp =
   let key = Protocol.spec_key sp in
@@ -326,8 +347,7 @@ let dispatch_cell t c j sp =
       let fl = { f_spec = sp; f_token = Pool.token (); f_waiters = [ w ] } in
       Hashtbl.replace t.flights key fl;
       let task =
-        Pool.task ~key ~label:(Protocol.spec_label sp) (fun () ->
-            Compute.measure sp)
+        Pool.task ~key ~label:(Protocol.spec_label sp) (fun () -> measure sp)
       in
       (* a persistent-cache hit fires the callback inside [submit], before
          [live] flips — that is how cached rows are told apart from runs *)
@@ -466,7 +486,7 @@ let begin_shutdown t ~reason =
             Queue.iter
               (fun sp ->
                 let row =
-                  Compute.failure_row sp
+                  failure_row sp
                     {
                       Pool.fl_label = Protocol.spec_label sp;
                       fl_kind = Pool.Cancelled;
@@ -483,7 +503,7 @@ let begin_shutdown t ~reason =
                        id = j.j_id;
                        key = Protocol.spec_key sp;
                        cached = false;
-                       cell = Protocol.row_to_json row;
+                       cell = Experiments.row_to_json row;
                      }))
               j.j_pending;
             Queue.clear j.j_pending)
@@ -556,8 +576,8 @@ let handle_submit t c ~id ~cells ~resume =
     let bad =
       List.find_map
         (fun sp ->
-          match Compute.validate sp with
-          | Ok () -> None
+          match resolve sp with
+          | Ok _ -> None
           | Error msg ->
             Some (Printf.sprintf "%s: %s" (Protocol.spec_label sp) msg))
         cells

@@ -335,8 +335,8 @@ let test_degenerate_samples_skipped () =
   let rendered = Regress.render report in
   Alcotest.(check bool) "summary names insufficient samples" true
     (contains rendered "insufficient samples");
-  (* zero-sample cells too (a failed cell from a schema-2 file reads as
-     status ok with an empty vector): still skipped, not a crash *)
+  (* zero-sample cells too (an ok cell with an empty vector): still
+     skipped, not a crash *)
   let report =
     Regress.compare_runs
       ~old_run:(run ~source:"o" [ cell ~name:"mcf" [] ])
@@ -350,6 +350,32 @@ let test_degenerate_samples_skipped () =
   match Json.member "skipped_samples" j with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "skipped_samples missing from JSON report"
+
+let test_filter_engine_canonical () =
+  let r =
+    run ~source:"sweep"
+      [
+        cell ~name:"mcf" ~engine:"dbt:v2.5.0-rc0" [ 1.0 ];
+        cell ~name:"mcf" ~engine:"dbt:v2.0.0" [ 1.0 ];
+        cell ~name:"mcf" ~engine:"interp" [ 1.0 ];
+      ]
+  in
+  let engines label =
+    List.map
+      (fun c -> c.Regress.engine)
+      (Baseline.filter_engine r label).Regress.cells
+  in
+  (* recorded rows carry the first-listed release of each configuration *)
+  Alcotest.(check (list string)) "rc2 is rc0" [ "dbt:v2.5.0-rc0" ]
+    (engines "dbt:v2.5.0-rc2");
+  Alcotest.(check (list string)) "v2.0.2 is v2.0.0" [ "dbt:v2.0.0" ]
+    (engines "dbt:v2.0.2");
+  Alcotest.(check (list string)) "canonical name kept" [ "dbt:v2.0.0" ]
+    (engines "dbt:v2.0.0");
+  Alcotest.(check (list string)) "other labels exact" [ "interp" ]
+    (engines "interp");
+  Alcotest.(check (list string)) "unknown release matches nothing" []
+    (engines "dbt:v9.9.9")
 
 let test_exit_codes () =
   let regressing =
@@ -423,6 +449,16 @@ let test_old_schema_rejected () =
     Alcotest.(check bool) "names both schemas" true
       (contains msg "simbench-bench-json-99"
       && contains msg Baseline.bench_schema));
+  (* schema 2 (cells without "status") is no longer read *)
+  let v2 = Filename.concat dir "BENCH_fig6.json" in
+  write_file v2
+    "{\"schema\":\"simbench-bench-json-2\",\"experiment\":\"fig6\",\"cells\":[{\"cell\":\"C\",\"engine\":\"e\",\"arch\":\"sba\",\"iters\":1,\"repeats\":1,\"seconds\":0.1,\"mean_seconds\":0.1,\"samples\":[0.1],\"kernel_insns\":5}]}";
+  (match Baseline.load_bench_file v2 with
+  | Ok _ -> Alcotest.fail "schema-2 file must be rejected"
+  | Error msg ->
+    Alcotest.(check bool) "names both schemas" true
+      (contains msg "simbench-bench-json-2"
+      && contains msg Baseline.bench_schema));
   (* malformed JSON surfaces the parser's position *)
   let bad = Filename.concat dir "BENCH_bad.json" in
   write_file bad "{\"schema\": }";
@@ -442,6 +478,17 @@ let test_missing_field_named () =
   | Ok _ -> Alcotest.fail "missing samples must be rejected"
   | Error msg ->
     Alcotest.(check bool) "names the field" true (contains msg "samples");
+    Alcotest.(check bool) "names the cell" true (contains msg "\"C\""));
+  (* a missing status is an error, not a silent "ok" *)
+  write_file file
+    (Printf.sprintf
+       "{\"schema\":%S,\"experiment\":\"x\",\"cells\":[{\"cell\":\"C\",\"engine\":\"e\",\"arch\":\"sba\",\"iters\":1,\"repeats\":1,\"seconds\":0.1,\"mean_seconds\":0.1,\"samples\":[0.1],\"kernel_insns\":5}]}"
+       Baseline.bench_schema);
+  (match Baseline.load_bench_file file with
+  | Ok _ -> Alcotest.fail "missing status must be rejected"
+  | Error msg ->
+    Alcotest.(check bool) "names the status field" true
+      (contains msg "missing string field \"status\"");
     Alcotest.(check bool) "names the cell" true (contains msg "\"C\""));
   rm_rf dir
 
@@ -503,6 +550,8 @@ let () =
             test_failed_cells_skipped_with_note;
           Alcotest.test_case "degenerate samples skipped" `Quick
             test_degenerate_samples_skipped;
+          Alcotest.test_case "engine filter canonical" `Quick
+            test_filter_engine_canonical;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
       ( "schema",

@@ -78,6 +78,43 @@ let test_suite_times_memoized () =
   Alcotest.(check bool) "memo hit is instant" true (second < first /. 2. || second < 0.001);
   Alcotest.(check int) "covers the suite" 18 (List.length a)
 
+let test_ablation_table () =
+  let out = Sb_report.Ablations.chaining ~config () in
+  let lines = String.split_on_char '\n' out in
+  List.iter
+    (fun v -> Alcotest.(check bool) (v ^ " column") true (contains out v))
+    [ "no-chain"; "chain+cross-page" ];
+  List.iter
+    (fun b ->
+      let name = b.Simbench.Bench.name in
+      match List.find_opt (String.starts_with ~prefix:name) lines with
+      | None -> Alcotest.fail (name ^ " row missing")
+      | Some line ->
+        let cells =
+          String.sub line (String.length name)
+            (String.length line - String.length name)
+          |> String.split_on_char ' '
+          |> List.filter (( <> ) "")
+        in
+        Alcotest.(check int) (name ^ ": a cell per variant") 3 (List.length cells);
+        List.iter
+          (fun c ->
+            (* a lost column renders as "-" *)
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S is a measured time" name c)
+              true
+              (match float_of_string_opt c with
+              | Some t -> Float.is_finite t && t >= 0.
+              | None -> false))
+          cells)
+    Simbench.Suite.
+      [
+        intra_page_direct;
+        intra_page_indirect;
+        inter_page_direct;
+        inter_page_indirect;
+      ]
+
 let () =
   Alcotest.run "sb_report"
     [
@@ -91,4 +128,6 @@ let () =
           Alcotest.test_case "fig2/fig8" `Quick test_fig2_and_8_structure;
           Alcotest.test_case "memoization" `Quick test_suite_times_memoized;
         ] );
+      ( "ablations",
+        [ Alcotest.test_case "chaining table" `Quick test_ablation_table ] );
     ]

@@ -79,6 +79,9 @@ let test_spec_key_canonical () =
   Alcotest.(check string)
     "hw canonicalises" "native"
     (Simbench.Engines.canonical_name "hw");
+  Alcotest.(check string)
+    "release aliases canonicalise" "dbt@v2.5.0-rc0"
+    (Simbench.Engines.canonical_name "dbt@v2.5.0-rc2");
   let k e =
     Protocol.spec_key
       (spec ~engine:(Simbench.Engines.canonical_name e) ~iters:50 ())
@@ -90,26 +93,56 @@ let test_spec_key_canonical () =
     (Protocol.spec_key (spec ~iters:50 ())
     <> Protocol.spec_key (spec ~iters:51 ()))
 
+let sample_row =
+  {
+    Sb_report.Experiments.row_cell = "System Call";
+    row_engine = "interp";
+    row_arch = "sba";
+    row_iters = 50;
+    row_repeats = 2;
+    row_seconds = 0.125;
+    row_mean_seconds = 0.25;
+    row_samples = [ 0.25; 0.125 ];
+    row_kernel_insns = 4242;
+    row_perf = [ ("Instructions", 4242); ("Loads", 7) ];
+    row_status = "ok";
+    row_note = "";
+  }
+
 let test_row_round_trip () =
-  let row =
-    {
-      Sb_report.Experiments.row_cell = "System Call";
-      row_engine = "interp";
-      row_arch = "sba";
-      row_iters = 50;
-      row_repeats = 2;
-      row_seconds = 0.125;
-      row_mean_seconds = 0.25;
-      row_samples = [ 0.25; 0.125 ];
-      row_kernel_insns = 4242;
-      row_perf = [ ("Instructions", 4242); ("Loads", 7) ];
-      row_status = "ok";
-      row_note = "";
-    }
-  in
-  match Protocol.row_of_json (Protocol.row_to_json row) with
-  | Ok row' -> Alcotest.(check bool) "row round-trips" true (row = row')
+  match Protocol.row_of_json (Protocol.row_to_json sample_row) with
+  | Ok row' -> Alcotest.(check bool) "row round-trips" true (sample_row = row')
   | Error msg -> Alcotest.fail msg
+
+let test_decode_errors_name_object () =
+  let error what = function
+    | Ok _ -> Alcotest.fail (what ^ ": decoded")
+    | Error msg -> msg
+  in
+  let without name = function
+    | Json.Obj fields -> Json.Obj (List.remove_assoc name fields)
+    | j -> j
+  in
+  Alcotest.(check string)
+    "row" "row: missing string field \"status\""
+    (error "row"
+       (Protocol.row_of_json
+          (without "status" (Protocol.row_to_json sample_row))));
+  Alcotest.(check string)
+    "hello frame" "hello response: missing string field \"session\""
+    (error "hello"
+       (Protocol.response_of_line
+          (Json.to_string
+             (without "session"
+                (Protocol.response_to_json
+                   (Protocol.Hello
+                      { session = "s"; heartbeat = 1.0; miss_limit = 3 }))))));
+  Alcotest.(check string)
+    "ping frame" "ping request: missing integer field \"seq\""
+    (error "ping"
+       (Protocol.request_of_line
+          (Json.to_string
+             (without "seq" (Protocol.request_to_json (Protocol.Ping { seq = 1 }))))))
 
 let test_request_round_trip () =
   let reqs =
@@ -892,6 +925,94 @@ let test_chaos_proxy_recovery () =
       "the proxy actually hurt us" true
       (stats.Sb_serve.Resilient.st_reconnects >= 1)
 
+(* One cell on every path: one suite bench on dbt@v2.0.0 at the quick
+   report scale, run the way [simbench run] does, through the report
+   path, through the daemon, and through the report path fast-forwarded
+   from a checkpoint.  All four retire the same kernel instructions, the
+   three cold paths count the same kernel events, and the daemon's row
+   frame is the report row's cell object. *)
+let test_one_cell_every_path () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let bench = Simbench.Suite.small_blocks in
+  let name = bench.Simbench.Bench.name in
+  let engine_name = "dbt@v2.0.0" in
+  let config = Sb_report.Experiments.quick_config in
+  let dbt = Option.get (Sb_dbt.Version.find "v2.0.0") in
+  let report ?opts config =
+    List.find
+      (fun r -> r.Sb_report.Experiments.row_cell = name)
+      (Sb_report.Experiments.cell_rows ?opts ~config ~arch ~kind:`Suite dbt)
+  in
+  let reported = report config in
+  let iters = reported.Sb_report.Experiments.row_iters in
+  let direct =
+    Simbench.Harness.run ~iters
+      ~support:(Simbench.Engines.support arch)
+      ~engine:(Result.get_ok (Simbench.Engines.of_string arch engine_name))
+      bench
+  in
+  let direct_perf =
+    match direct.Simbench.Harness.result.Sb_sim.Run_result.kernel_perf with
+    | None -> []
+    | Some p ->
+      List.map
+        (fun (c, n) -> (Sb_sim.Perf.to_string c, n))
+        (Sb_sim.Perf.to_alist p)
+  in
+  let frame_cell =
+    with_server (fun server path ->
+        let tc = tconnect server path in
+        Fun.protect ~finally:(fun () -> tclose tc) @@ fun () ->
+        tsend tc (submit "one" [ spec ~bench:name ~engine:engine_name ~iters () ]);
+        wait_for server tc (is_done "one") "job one done";
+        match rows_of tc "one" with
+        | [ (_, cell) ] -> cell
+        | rows -> Alcotest.failf "expected one row, got %d" (List.length rows))
+  in
+  let served =
+    match Protocol.row_of_json frame_cell with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  let ckpt_dir = tmp_dir "sb_one_cell" in
+  let warm =
+    Fun.protect
+      ~finally:(fun () -> rm_rf ckpt_dir)
+      (fun () ->
+        report
+          ~opts:
+            {
+              Sb_report.Experiments.sequential with
+              Sb_report.Experiments.cache_dir = Some ckpt_dir;
+            }
+          {
+            config with
+            Sb_report.Experiments.switch_at =
+              Some Simbench.Checkpoint.Kernel_phase;
+          })
+  in
+  let insns = direct.Simbench.Harness.kernel_insns in
+  Alcotest.(check bool) "the kernel ran" true (insns > 0);
+  List.iter
+    (fun (path, (r : Sb_report.Experiments.row)) ->
+      Alcotest.(check string) (path ^ " status") "ok" r.row_status;
+      Alcotest.(check int) (path ^ " iters") iters r.row_iters;
+      Alcotest.(check int) (path ^ " kernel_insns") insns r.row_kernel_insns)
+    [ ("report", reported); ("serve", served); ("report --switch-at", warm) ];
+  let perf = Alcotest.(list (pair string int)) in
+  Alcotest.check perf "report kernel_perf" direct_perf
+    reported.Sb_report.Experiments.row_perf;
+  Alcotest.check perf "serve kernel_perf" direct_perf
+    served.Sb_report.Experiments.row_perf;
+  let keys = function
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "cell is not an object"
+  in
+  Alcotest.(check (list string))
+    "frame cell keys = report row keys"
+    (keys (Sb_report.Experiments.row_to_json reported))
+    (keys frame_cell)
+
 let () =
   Random.self_init ();
   Alcotest.run "sb_serve"
@@ -901,6 +1022,8 @@ let () =
           Alcotest.test_case "spec round trip" `Quick test_spec_round_trip;
           Alcotest.test_case "spec key canonical" `Quick test_spec_key_canonical;
           Alcotest.test_case "row round trip" `Quick test_row_round_trip;
+          Alcotest.test_case "decode errors name their object" `Quick
+            test_decode_errors_name_object;
           Alcotest.test_case "request round trip" `Quick test_request_round_trip;
           Alcotest.test_case "response round trip" `Quick
             test_response_round_trip;
@@ -927,6 +1050,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "persistent cache across servers" `Quick
             test_persistent_cache_across_servers;
+          Alcotest.test_case "one cell on every path" `Quick
+            test_one_cell_every_path;
         ] );
       ( "resilience",
         [
