@@ -1570,8 +1570,18 @@ let compare_cmd =
       & info [ "new-engine" ] ~docv:"ENGINE"
           ~doc:"Restrict NEW to one engine label (see --old-engine).")
   in
+  let counters_arg =
+    Arg.(
+      value & flag
+      & info [ "counters" ]
+          ~doc:
+            "Counter gate: ignore timing and exit 1 unless both runs hold the \
+             same cells and every pair has equal iterations, kernel_insns \
+             and kernel_perf.  --threshold, --json, --strict and \
+             --all-cells do not apply.")
+  in
   let action old_path new_path threshold json strict all_cells old_engine
-      new_engine =
+      new_engine counters =
     if threshold < 0. then begin
       prerr_endline "--threshold must be non-negative";
       2
@@ -1589,15 +1599,23 @@ let compare_cmd =
         let old_run = apply_filter old_run old_engine in
         let new_run = apply_filter new_run new_engine in
         let ignore_engine = old_engine <> None || new_engine <> None in
-        let report =
-          Sb_regress.Regress.compare_runs ~threshold:(threshold /. 100.)
-            ~ignore_engine ~old_run ~new_run ()
-        in
-        if json then
-          print_endline
-            (Sb_util.Json.to_string (Sb_regress.Regress.to_json report))
-        else print_string (Sb_regress.Regress.render ~all_cells report);
-        Sb_regress.Regress.exit_code ~strict report
+        if counters then begin
+          let k =
+            Sb_regress.Regress.compare_counters ~ignore_engine ~old_run ~new_run ()
+          in
+          print_string (Sb_regress.Regress.render_counters k);
+          Sb_regress.Regress.counters_exit_code k
+        end
+        else
+          let report =
+            Sb_regress.Regress.compare_runs ~threshold:(threshold /. 100.)
+              ~ignore_engine ~old_run ~new_run ()
+          in
+          if json then
+            print_endline
+              (Sb_util.Json.to_string (Sb_regress.Regress.to_json report))
+          else print_string (Sb_regress.Regress.render ~all_cells report);
+          Sb_regress.Regress.exit_code ~strict report
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1609,7 +1627,7 @@ let compare_cmd =
           categories.")
     Term.(
       const action $ old_arg $ new_arg $ threshold_arg $ json_arg $ strict_arg
-      $ all_cells_arg $ old_engine_arg $ new_engine_arg)
+      $ all_cells_arg $ old_engine_arg $ new_engine_arg $ counters_arg)
 
 (* ---- report ---- *)
 

@@ -17,12 +17,12 @@ let default_scale = 20_000
 let fail fmt = Printf.ksprintf (fun s -> raise (Benchmark_failed s)) fmt
 
 (* One guest RAM buffer per size, reused by every run in this process.
-   Clearing a resident buffer is an order of magnitude cheaper than
-   allocating and faulting in a fresh one, and each registry engine's
-   cached session would keep its own copy alive.  The pool belongs to the
-   process that made it: a forked worker sees its parent's table, so it
-   starts its own rather than writing into pages it shares
-   copy-on-write. *)
+   Clearing it zeroes only the pages the last run wrote (the buffer's dirty
+   map), where a fresh one would cost a 32 MiB allocation and its page
+   faults, and each registry engine's cached session would keep its own
+   copy alive.  The pool belongs to the process that made it: a forked
+   worker sees its parent's table, so it starts its own rather than
+   writing into pages it shares copy-on-write. *)
 type ram_pool = { pid : int; rams : (int, Sb_mem.Phys_mem.t) Hashtbl.t }
 
 let ram_pool = ref { pid = Unix.getpid (); rams = Hashtbl.create 2 }

@@ -31,10 +31,13 @@ val machine : Platform.t -> Sb_sim.Machine.t
 (** A machine for [platform] built around this process's pooled RAM
     buffer of the platform's size, cleared first: the same state as
     {!Platform.machine} with a fresh CPU, bus and device set, without
-    allocating the RAM again.  The machine is valid until the next call in
-    the process, which clears and reuses the same buffer.  A forked child
-    starts its own pool on its first call and never writes into the
-    buffer it shares copy-on-write with its parent. *)
+    allocating the RAM again.  The clear zeroes only the pages written
+    since the previous one ({!Sb_mem.Phys_mem.clear}), so it costs time in
+    proportion to what the last run touched, not to the RAM size.  The
+    machine is valid until the next call in the process, which clears and
+    reuses the same buffer.  A forked child starts its own pool on its
+    first call and never writes into the buffer it shares copy-on-write
+    with its parent. *)
 
 val run :
   ?platform:Platform.t ->
@@ -63,9 +66,9 @@ val run :
 
     Every run, cold, warm restore or fast-forward miss alike, executes on
     a fresh {!machine}: guest RAM is built once per size per process and
-    cleared before each run, so a run's host cost is what it simulates,
-    not the 32 MiB machine.  Nothing of a previous run is visible to the
-    next one. *)
+    cleared before each run, page by page as the last run dirtied it, so a
+    run's host cost is what it simulates, not the 32 MiB machine.  Nothing
+    of a previous run is visible to the next one. *)
 
 val density : outcome -> float
 (** Tested operations per kernel instruction (the Figure 3 metric). *)

@@ -72,8 +72,26 @@ struct
     mutable timer_backlog : int;
   }
 
-  let make_ctx machine perf =
+  (* Predecode page arrays of replaced contexts, for [fetch_decode_slow]
+     to refill instead of allocating.  A fresh 32 KiB array would land on
+     heap pages the OS has just taken back, and fault on first use. *)
+  let spare_pages : Uop.decoded option array Stack.t = Stack.create ()
+
+  let page_array () =
+    match Stack.pop_opt spare_pages with
+    | Some arr ->
+      Array.fill arr 0 page_size None;
+      arr
+    | None -> Array.make page_size None
+
+  (* [prev] is the context this one replaces, which nothing can reach any
+     more: its predecode arrays become spares. *)
+  let make_ctx ?prev machine perf =
     let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
+    Option.iter
+      (fun prev ->
+        Hashtbl.iter (fun _ arr -> Stack.push arr spare_pages) prev.decode_cache)
+      prev;
     {
       machine;
       cpu = machine.Machine.cpu;
@@ -251,7 +269,7 @@ struct
         match Hashtbl.find_opt ctx.decode_cache ppage with
         | Some arr -> arr
         | None ->
-          let arr = Array.make page_size None in
+          let arr = page_array () in
           Hashtbl.add ctx.decode_cache ppage arr;
           code_bit_set ctx ppage;
           arr
@@ -523,7 +541,10 @@ struct
      kept and revalidated against [(machine, state_gen)]: a debugger
      stepping the same machine reuses it instead of re-deriving everything
      per instruction, while any external state change (load_program,
-     reset, snapshot restore, Machine.touch) forces a rebuild. *)
+     reset, snapshot restore, Machine.touch) forces a rebuild, which
+     recycles the replaced context's predecode arrays (see [make_ctx]): the
+     session holds the only reference to it, and engines are not
+     re-entrant. *)
   let session : (Machine.t * int * ctx) option ref = ref None
 
   let ctx_for machine =
@@ -534,8 +555,9 @@ struct
          a new run starts it from zero in place *)
       Perf.reset ctx.perf;
       ctx
-    | _ ->
-      let ctx = make_ctx machine (Perf.create ()) in
+    | prev ->
+      let prev = Option.map (fun (_, _, ctx) -> ctx) prev in
+      let ctx = make_ctx ?prev machine (Perf.create ()) in
       session := Some (machine, machine.Machine.state_gen, ctx);
       ctx
 

@@ -194,6 +194,74 @@ let exit_code ~strict report =
   if strict && regressions report <> [] then 1 else 0
 
 (* ------------------------------------------------------------------ *)
+(* Counter gate                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type counter_report = {
+  k_old_source : string;
+  k_new_source : string;
+  k_equal : int;
+  k_differ : (cell * cell * string list) list;
+  k_only_old : cell list;
+  k_only_new : cell list;
+}
+
+(* what differs between two cells' deterministic fields; a counter absent
+   on one side reads 0, as the row encoder omits zero counters *)
+let counter_differences o n =
+  let field name a b = if a = b then [] else [ Printf.sprintf "%s %d -> %d" name a b ] in
+  let get perf name = Option.value (List.assoc_opt name perf) ~default:0 in
+  let names = List.sort_uniq compare (List.map fst o.perf @ List.map fst n.perf) in
+  (if ok_status o.status && ok_status n.status then []
+   else [ Printf.sprintf "status %s -> %s" o.status n.status ])
+  @ field "iters" o.iters n.iters
+  @ field "kernel_insns" o.kernel_insns n.kernel_insns
+  @ List.concat_map (fun name -> field name (get o.perf name) (get n.perf name)) names
+
+let compare_counters ?(ignore_engine = false) ~old_run ~new_run () =
+  let pairs, only_old, only_new =
+    pair_runs ~with_engine:(not ignore_engine) old_run.cells new_run.cells
+  in
+  let differ =
+    List.filter_map
+      (fun (o, n) ->
+        match counter_differences o n with [] -> None | d -> Some (o, n, d))
+      pairs
+  in
+  {
+    k_old_source = old_run.source;
+    k_new_source = new_run.source;
+    k_equal = List.length pairs - List.length differ;
+    k_differ = differ;
+    k_only_old = only_old;
+    k_only_new = only_new;
+  }
+
+let counters_exit_code k =
+  if k.k_differ = [] && k.k_only_old = [] && k.k_only_new = [] then 0 else 1
+
+let render_counters k =
+  let buf = Buffer.create 1024 in
+  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let name c = Printf.sprintf "%s/%s/%s" c.cell c.arch c.engine in
+  out "Counters OLD=%s vs NEW=%s: %d paired cells, %d equal\n" k.k_old_source
+    k.k_new_source
+    (k.k_equal + List.length k.k_differ)
+    k.k_equal;
+  List.iter
+    (fun (o, _, d) -> out "  differ %s: %s\n" (name o) (String.concat ", " d))
+    k.k_differ;
+  List.iter (fun c -> out "  only in OLD: %s\n" (name c)) k.k_only_old;
+  List.iter (fun c -> out "  only in NEW: %s\n" (name c)) k.k_only_new;
+  out "Counter gate: %s\n"
+    (if counters_exit_code k = 0 then "every cell equal"
+     else
+       Printf.sprintf "%d cells differ, %d only in OLD, %d only in NEW"
+         (List.length k.k_differ) (List.length k.k_only_old)
+         (List.length k.k_only_new));
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
 (* Category attribution                                                 *)
 (* ------------------------------------------------------------------ *)
 

@@ -112,6 +112,38 @@ val improvements : report -> comparison list
 val exit_code : strict:bool -> report -> int
 (** [1] when [strict] and at least one confirmed regression, else [0]. *)
 
+(** {2 Counter gate}
+
+    Timing-free: paired cells must agree exactly on their deterministic
+    fields.  A translation blow-up or a lost fast path changes counters
+    even where host noise would hide its time. *)
+
+type counter_report = {
+  k_old_source : string;
+  k_new_source : string;
+  k_equal : int;  (** paired cells whose counters all agree *)
+  k_differ : (cell * cell * string list) list;
+      (** paired cells that disagree, each with what differs
+          (["Mmu_walks 20481 -> 20480"]): [iters], [kernel_insns], any
+          [kernel_perf] counter (absent reads 0), or a failure status on
+          either side *)
+  k_only_old : cell list;
+  k_only_new : cell list;
+}
+
+val compare_counters :
+  ?ignore_engine:bool -> old_run:run -> new_run:run -> unit -> counter_report
+(** Pairs cells like {!compare_runs}'s strict pairing (no engine remap) and
+    compares [iters], [kernel_insns] and [kernel_perf]; samples and
+    seconds are ignored. *)
+
+val counters_exit_code : counter_report -> int
+(** [0] when both runs hold the same cells and every pair is equal, else
+    [1] ([simbench compare --counters]). *)
+
+val render_counters : counter_report -> string
+(** One line per differing or unpaired cell, then a verdict line. *)
+
 val category_of_cell : string -> string
 (** Benchmark/workload name to SimBench category name ({!Simbench.Category});
     SPEC-analog workloads map to "Application", unknown cells to "Other". *)

@@ -11,6 +11,9 @@ let page_mask = page_size - 1
    so address-space switches need no flush. *)
 let vpn_space = 1 lsl 20
 
+(* the largest generation whose tag survives [lsl 32] in a positive int *)
+let max_tlb_gen = max_int lsr 32
+
 module Config = struct
   type t = { vm_exit_rounds : int; name_suffix : string }
 
@@ -79,19 +82,53 @@ struct
 
   let empty_arr : Uop.decoded option array = [||]
 
-  let make_ctx machine perf =
+  (* Advance the host TLB to a fresh generation, which invalidates every
+     slot at once.  Only a tag that would overflow costs a pass over the
+     table. *)
+  let next_gen host_tlb gen =
+    if gen < max_tlb_gen then gen + 1
+    else begin
+      Array.fill host_tlb 0 vpn_space 0;
+      1
+    end
+
+  (* Predecode page arrays of replaced contexts and of pages dropped by
+     SMC invalidation, for [fetch_decode] to refill instead of allocating.
+     A fresh 32 KiB array would land on heap pages the OS has just taken
+     back, and fault on first use.  An array is a spare only once nothing
+     else refers to it. *)
+  let spare_pages : Uop.decoded option array Stack.t = Stack.create ()
+
+  let page_array () =
+    match Stack.pop_opt spare_pages with
+    | Some arr ->
+      Array.fill arr 0 page_size None;
+      arr
+    | None -> Array.make page_size None
+
+  (* [prev] is the context this one replaces, which nothing can reach any
+     more: its host TLB is taken over at the next generation, and its
+     predecode arrays become spares. *)
+  let make_ctx ?prev machine perf =
     let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
     let cpu = machine.Machine.cpu in
     (* the world switch copies these with unchecked loops *)
     if Array.length cpu.Cpu.regs <> 16 || Array.length cpu.Cpu.cop <> Cregs.count
     then invalid_arg "Virt: CPU register file is not 16 + Cregs.count words";
+    let host_tlb, tlb_gen =
+      match prev with
+      | Some prev ->
+        Hashtbl.iter (fun _ arr -> Stack.push arr spare_pages) prev.decode_cache;
+        (prev.host_tlb, next_gen prev.host_tlb prev.tlb_gen)
+      | None -> (Array.make vpn_space 0, 1)
+    in
     {
       machine;
       cpu;
       bus = machine.Machine.bus;
       perf;
-      host_tlb = Array.make vpn_space 0;
-      tlb_gen = 1;
+      host_tlb;
+      tlb_gen;
       decode_cache = Hashtbl.create 64;
       code_pages = Bytes.make ((ram_pages + 7) / 8) '\000';
       cur_fetch_page = -1;
@@ -223,7 +260,7 @@ struct
     end
 
   let flush_translation ctx =
-    ctx.tlb_gen <- ctx.tlb_gen + 1;
+    ctx.tlb_gen <- next_gen ctx.host_tlb ctx.tlb_gen;
     ctx.cur_fetch_page <- -1
 
   (* ------------- memory ------------------------------------------------- *)
@@ -263,6 +300,11 @@ struct
   let smc_check ctx pa =
     let ppage = pa lsr page_shift in
     if code_bit_get ctx ppage then begin
+      (* the dropped array becomes a spare: rewriting code in a loop would
+         otherwise allocate a fresh 32 KiB array per invalidation *)
+      Option.iter
+        (fun arr -> Stack.push arr spare_pages)
+        (Hashtbl.find_opt ctx.decode_cache ppage);
       Hashtbl.remove ctx.decode_cache ppage;
       code_bit_clear ctx ppage;
       if ctx.cur_fetch_page = ppage then begin
@@ -316,7 +358,7 @@ struct
           match Hashtbl.find_opt ctx.decode_cache ppage with
           | Some arr -> arr
           | None ->
-            let arr = Array.make page_size None in
+            let arr = page_array () in
             Hashtbl.add ctx.decode_cache ppage arr;
             code_bit_set ctx ppage;
             arr
@@ -522,7 +564,9 @@ struct
 
   (* Keep the last run's host TLB and decode cache when the machine is
      unchanged ([(machine, state_gen)] match): stepping under a debugger
-     stays warm, while external state changes force a rebuild. *)
+     stays warm, while external state changes force a rebuild.  A rebuild
+     recycles the replaced context's tables (see [make_ctx]): the session
+     holds the only reference to it, and engines are not re-entrant. *)
   let session : (Machine.t * int * ctx) option ref = ref None
 
   let ctx_for machine =
@@ -532,8 +576,9 @@ struct
       (* the ctx owns its counter array; a new run starts it from zero *)
       Perf.reset ctx.perf;
       ctx
-    | _ ->
-      let ctx = make_ctx machine (Perf.create ()) in
+    | prev ->
+      let prev = Option.map (fun (_, _, ctx) -> ctx) prev in
+      let ctx = make_ctx ?prev machine (Perf.create ()) in
       session := Some (machine, machine.Machine.state_gen, ctx);
       ctx
 

@@ -185,6 +185,67 @@ let test_phys_mem_is_zero () =
           ignore (is_zero ~addr:(size + 1) ~len:0)))
     [ 64; 80 ]
 
+(* [clear] zeroes only pages marked by a write, so every write path must
+   mark every page it stores into.  Each writer stores one value with no
+   zero byte, at page edges (16- and 32-bit writes straddling two pages
+   included), then seeded values at seeded addresses; after each round
+   [clear] must leave every byte zero.  The check reads the whole buffer
+   with [blit_out], not [is_zero], which trusts the same map.  Single
+   writes on an otherwise clean memory make a lost mark show: a page the
+   writer stored into but did not mark keeps its bytes. *)
+let test_phys_mem_clear_marks () =
+  let page = 4096 in
+  let size = 8 * page in
+  let m = Sb_mem.Phys_mem.create ~size in
+  let check_clear label =
+    Sb_mem.Phys_mem.clear m;
+    Bytes.iteri
+      (fun i c ->
+        if c <> '\000' then
+          Alcotest.failf "%s: byte 0x%x is 0x%02x after clear" label i (Char.code c))
+      (Sb_mem.Phys_mem.blit_out m ~addr:0 ~len:size)
+  in
+  let writers =
+    [
+      ("write8", 1, Sb_mem.Phys_mem.write8);
+      ("write16", 2, Sb_mem.Phys_mem.write16);
+      ("write32", 4, Sb_mem.Phys_mem.write32);
+      ("unsafe_write8", 1, Sb_mem.Phys_mem.unsafe_write8);
+      ("unsafe_write16", 2, Sb_mem.Phys_mem.unsafe_write16);
+      ("unsafe_write32", 4, Sb_mem.Phys_mem.unsafe_write32);
+    ]
+  in
+  let rng = Sb_util.Xorshift.create ~seed:16 in
+  List.iter
+    (fun (name, width, write) ->
+      (* every byte non-zero, whichever page it lands on *)
+      let value = 0xA5C3_7E19 land ((1 lsl (8 * width)) - 1) in
+      let edges =
+        [ 0; size - width; page; (3 * page) - width ]
+        @ List.init (width - 1) (fun k -> (5 * page) - 1 - k)
+      in
+      List.iter
+        (fun addr ->
+          write m addr value;
+          check_clear (Printf.sprintf "%s at 0x%x" name addr))
+        edges;
+      for round = 1 to 4 do
+        for _ = 1 to 32 do
+          let addr = Sb_util.Xorshift.int rng (size - width + 1) in
+          write m addr (1 + Sb_util.Xorshift.int rng ((1 lsl (8 * width)) - 1))
+        done;
+        check_clear (Printf.sprintf "%s seeded round %d" name round)
+      done)
+    writers;
+  (* a load over five pages, starting and ending mid-page *)
+  let image = Bytes.init ((3 * page) + 200) (fun i -> Char.chr (1 + (i mod 255))) in
+  Sb_mem.Phys_mem.load m ~addr:(page - 100) image;
+  check_clear "multi-page load";
+  Sb_mem.Phys_mem.load m ~addr:(size - 1) (Bytes.make 1 '\255');
+  check_clear "one-byte load at the end";
+  Sb_mem.Phys_mem.load m ~addr:page Bytes.empty;
+  check_clear "empty load"
+
 let test_bus_ram_dispatch () =
   let machine = make_machine () in
   let bus = machine.Sb_sim.Machine.bus in
@@ -327,6 +388,8 @@ let () =
             test_phys_mem_unsafe_parity;
           Alcotest.test_case "load/blit" `Quick test_phys_mem_load;
           Alcotest.test_case "is_zero windows" `Quick test_phys_mem_is_zero;
+          Alcotest.test_case "clear after every write path" `Quick
+            test_phys_mem_clear_marks;
         ] );
       ( "bus",
         [

@@ -398,6 +398,41 @@ let test_exit_codes () =
   Alcotest.(check int) "non-strict + clean = 0" 0
     (Regress.exit_code ~strict:false clean)
 
+(* [compare --counters] ignores timing and exits 1 on any counter edit,
+   on a cell present on one side only, or on a failed cell. *)
+let test_counter_gate () =
+  let with_perf c = { c with Regress.perf = [ ("Insns", 5_000); ("Mmu_walks", 12) ] } in
+  let base =
+    [
+      with_perf (cell ~name:"Small Blocks" [ 0.1 ]);
+      with_perf (cell ~name:"System Call" ~arch:"vlx" [ 0.2 ]);
+    ]
+  in
+  let gate news =
+    Regress.compare_counters ~old_run:(run ~source:"o" base)
+      ~new_run:(run ~source:"n" news) ()
+  in
+  let check label expect news =
+    Alcotest.(check int) label expect (Regress.counters_exit_code (gate news))
+  in
+  let edit_first f = match base with c :: rest -> f c :: rest | [] -> [] in
+  check "identical" 0 base;
+  check "only timing differs" 0
+    (List.map (fun c -> { c with Regress.samples = [ 9.0 ]; seconds = 9.0 }) base);
+  let one_counter =
+    edit_first (fun c -> { c with Regress.perf = [ ("Insns", 5_000); ("Mmu_walks", 11) ] })
+  in
+  check "one counter edited" 1 one_counter;
+  Alcotest.(check bool) "the edit is named" true
+    (contains (Regress.render_counters (gate one_counter)) "Mmu_walks 12 -> 11");
+  check "a counter only on one side" 1
+    (edit_first (fun c -> { c with Regress.perf = ("Spills", 1) :: c.Regress.perf }));
+  check "kernel_insns edited" 1
+    (edit_first (fun c -> { c with Regress.kernel_insns = 5_001 }));
+  check "cell missing" 1 (List.tl base);
+  check "extra cell" 1 (base @ [ with_perf (cell ~name:"TLB Flush" [ 0.3 ]) ]);
+  check "failed cell" 1 (edit_first (fun c -> { c with Regress.status = "failed" }))
+
 (* ------------------------------------------------------------------ *)
 (* Serialization and schema migration                                   *)
 (* ------------------------------------------------------------------ *)
@@ -553,6 +588,7 @@ let () =
           Alcotest.test_case "engine filter canonical" `Quick
             test_filter_engine_canonical;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "counter gate" `Quick test_counter_gate;
         ] );
       ( "schema",
         [
