@@ -7,7 +7,8 @@
      workload    run one SPEC-analog workload
      chaos       deterministic fault injection + differential convergence
      lint        statically check benchmark programs and conventions
-     report      regenerate paper figures (same drivers as bench/main.exe)
+     report      run the paper's figures, the extension table and the
+                 ablations from one registry, optionally writing bench JSON
      baseline    snapshot a --json run directory as a regression baseline
      compare     statistical regression detection between two recorded runs
      serve       persistent benchmark service over a Unix/TCP socket
@@ -70,6 +71,39 @@ let switch_at_arg =
           "Checkpointed fast-forward: run setup under a cheap engine (or \
            restore a checkpoint), switch to the timed engine at POINT — \
            $(b,kernel) (the kernel-start phase write) or $(b,insn:N).")
+
+(* converters that turn an out-of-range number into a usage error before
+   anything runs *)
+let bounded conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s, got %S" what s))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = bounded Arg.int "positive integer" (fun n -> n >= 1)
+let non_negative_int = bounded Arg.int "non-negative integer" (fun n -> n >= 0)
+let positive_float = bounded Arg.float "positive number" (fun f -> f > 0.0)
+
+let jobs_arg =
+  Arg.(
+    value & opt positive_int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker processes: independent cells run $(docv) at a time in \
+           forked workers ($(b,report -j 1) runs them in this process, in \
+           order).")
+
+let deadline_arg =
+  Arg.(
+    value
+    & opt (some positive_float) None
+    & info [ "deadline" ] ~docv:"SECS"
+        ~doc:
+          "Per-cell wall-clock budget: a worker still running after \
+           $(docv) seconds is killed and its cell reported with status \
+           timeout; the run continues.")
 
 let setup_engine_arg =
   Arg.(
@@ -503,42 +537,6 @@ let lint_cmd =
       & info [ "a"; "arch" ] ~docv:"ARCH"
           ~doc:"Lint under one architecture support package only (default: all).")
   in
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let finding_json (f : Sb_analysis.Lint.finding) =
-    let loc_fields =
-      match f.Sb_analysis.Lint.loc with
-      | None -> ""
-      | Some l ->
-        Printf.sprintf ",\"op\":%d%s" l.Sb_analysis.Cfg.index
-          (match l.Sb_analysis.Cfg.context with
-          | Some label ->
-            Printf.sprintf ",\"label\":\"%s\",\"offset\":%d" (json_escape label)
-              l.Sb_analysis.Cfg.offset
-          | None -> "")
-    in
-    Printf.sprintf
-      "{\"rule\":\"%s\",\"severity\":\"%s\",\"region\":\"%s\"%s,\"message\":\"%s\"}"
-      (json_escape f.Sb_analysis.Lint.rule)
-      (match f.Sb_analysis.Lint.severity with
-      | Sb_analysis.Lint.Error -> "error"
-      | Sb_analysis.Lint.Warning -> "warning")
-      (json_escape f.Sb_analysis.Lint.region)
-      loc_fields
-      (json_escape f.Sb_analysis.Lint.message)
-  in
   let action arch_opt json strict workloads names =
     let all_benches =
       Simbench.Suite.all @ Simbench.Suite_ext.all
@@ -635,34 +633,11 @@ let lint_cmd =
             fs)
         results;
       n_errors := !n_errors + List.length pass_violations;
-      if json then begin
-        let lints =
-          List.map
-            (fun (bench, arch, fs) ->
-              Printf.sprintf
-                "{\"bench\":\"%s\",\"arch\":\"%s\",\"findings\":[%s]}"
-                (json_escape bench) (json_escape arch)
-                (String.concat "," (List.map finding_json fs)))
-            results
-        in
-        let violation_json (bench, arch, (v : Sb_analysis.Ir_check.violation))
-            =
-          Printf.sprintf
-            "{\"bench\":\"%s\",\"arch\":\"%s\",\"pass\":\"%s\",\"version\":%s,\"va\":%d,\"insn\":%d,\"message\":\"%s\"}"
-            (json_escape bench) (json_escape arch)
-            (json_escape v.Sb_analysis.Ir_check.pass)
-            (match v.Sb_analysis.Ir_check.version with
-            | Some ver -> Printf.sprintf "\"%s\"" (json_escape ver)
-            | None -> "null")
-            v.Sb_analysis.Ir_check.va v.Sb_analysis.Ir_check.index
-            (json_escape (Sb_analysis.Ir_check.message v))
-        in
-        Printf.printf
-          "{\"schema\":\"simbench-lint-json-1\",\"lints\":[%s],\"pass_violations\":[%s],\"errors\":%d,\"warnings\":%d}\n"
-          (String.concat "," lints)
-          (String.concat "," (List.map violation_json pass_violations))
-          !n_errors !n_warnings
-      end
+      if json then
+        print_endline
+          (Sb_util.Json.to_string
+             (Sb_analysis.Lint.to_json ~errors:!n_errors ~warnings:!n_warnings
+                results pass_violations))
       else begin
         List.iter
           (fun (bench, arch, fs) ->
@@ -848,11 +823,6 @@ let serve_cmd =
       & opt (some int) None
       & info [ "port" ] ~docv:"N" ~doc:"Loopback TCP listener port.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker processes in the pool.")
-  in
   let cache_arg =
     Arg.(
       value
@@ -863,13 +833,6 @@ let serve_cmd =
              cells across requests and restarts cost one simulation.  The \
              directory may be the one $(b,report --cache) uses, but the two \
              never share rows: their keys and stored values differ.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Per-cell wall-clock budget; overruns report status timeout.")
   in
   let window_arg =
     Arg.(
@@ -915,10 +878,6 @@ let serve_cmd =
       miss_limit verbose =
     if socket = None && port = None then begin
       prerr_endline "serve: need --socket PATH and/or --port N";
-      2
-    end
-    else if jobs < 1 then begin
-      prerr_endline "serve: --jobs must be >= 1";
       2
     end
     else begin
@@ -1008,15 +967,6 @@ let client_cmd =
             "Cancel the job after receiving N rows; remaining queued cells \
              are dropped without killing workers.")
   in
-  let wait_arg =
-    Arg.(
-      value & flag
-      & info [ "wait" ]
-          ~doc:
-            "With --cancel: keep reading until the server confirms the \
-             cancellation (this is the default behaviour; flag kept for \
-             scripting clarity).")
-  in
   let status_arg =
     Arg.(
       value & flag
@@ -1062,20 +1012,6 @@ let client_cmd =
           ~doc:
             "First reconnect delay; doubles per attempt (with jitter) up to \
              a 5 s ceiling.")
-  in
-  let bench_run_json cells =
-    Sb_util.Json.Obj
-      [
-        ("schema", Sb_util.Json.String Sb_regress.Baseline.bench_schema);
-        ("experiment", Sb_util.Json.String "serve");
-        ("cells", Sb_util.Json.List cells);
-      ]
-  in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    output_char oc '\n';
-    close_out oc
   in
   let print_row ?(retried = false) ~cached cell =
     let s name =
@@ -1129,8 +1065,7 @@ let client_cmd =
     err_exit err
   in
   let action addr spec_file cells arch engine iters repeats id cancel_after
-      wait status dump stop json_out retries backoff =
-    ignore wait;
+      status dump stop json_out retries backoff =
     let with_conn f =
       match Sb_serve.Client.connect addr with
       | Error err -> fail err
@@ -1140,11 +1075,12 @@ let client_cmd =
         code
     in
     let report_outcome ?stats outcome rows_acc =
-      (match json_out with
-      | Some path ->
-        write_file path
-          (Sb_util.Json.to_string (bench_run_json (List.rev rows_acc)))
-      | None -> ());
+      Option.iter
+        (fun out ->
+          Sb_regress.Baseline.write_json ~out
+            (Sb_regress.Baseline.bench_json ~experiment:"serve"
+               (List.rev rows_acc)))
+        json_out;
       (match stats with
       | Some s when s.Sb_serve.Resilient.st_reconnects > 0 ->
         Printf.printf "reconnects: %d (rows retried: %d, duplicates dropped: %d)\n"
@@ -1178,7 +1114,9 @@ let client_cmd =
       with_conn (fun conn ->
           match Sb_serve.Client.dump conn with
           | Ok (_source, cells) ->
-            print_endline (Sb_util.Json.to_string (bench_run_json cells));
+            print_endline
+              (Sb_util.Json.to_string
+                 (Sb_regress.Baseline.bench_json ~experiment:"serve" cells));
             0
           | Error err ->
             prerr_endline (Sb_serve.Client.error_message err);
@@ -1271,8 +1209,7 @@ let client_cmd =
           dump the server's accumulated rows as a bench-schema run.")
     Term.(
       const action $ connect_arg $ spec_arg $ cell_arg $ arch_arg $ engine_arg
-      $ iters_arg $ repeats_arg $ id_arg $ cancel_after_arg $ wait_arg
-      $ status_arg $ dump_arg $ stop_arg $ json_arg $ retries_arg
+      $ iters_arg $ repeats_arg $ id_arg $ cancel_after_arg $ status_arg $ dump_arg $ stop_arg $ json_arg $ retries_arg
       $ backoff_arg)
 
 (* ---- fsck ---- *)
@@ -1482,7 +1419,7 @@ let baseline_cmd =
       & info [ "json" ] ~docv:"DIR"
           ~doc:
             "Run to snapshot: a BENCH_*.json directory written by \
-             bench/main.exe --json DIR, a single run file, or serve:ADDR to \
+             $(b,report --json DIR), a single run file, or serve:ADDR to \
              pull the rows from a live benchmark service.")
   in
   let out_arg =
@@ -1632,15 +1569,69 @@ let compare_cmd =
 (* ---- report ---- *)
 
 let report_cmd =
-  let figs_arg =
+  let experiments_arg =
+    let names =
+      List.map
+        (fun (e : Sb_report.Registry.experiment) -> (e.name, e))
+        Sb_report.Registry.all
+    in
     Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FIG" ~doc:"Figures to regenerate (fig2..fig8); all by default.")
+      value
+      & pos_all (enum names) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, in order: %s.  By default every one \
+                except $(b,synthetic-faults) and $(b,all)."
+               (String.concat ", " (List.map fst names))))
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Cheap settings for a smoke run.")
   in
-  let report_switch_arg =
+  let repeats_arg =
+    Arg.(
+      value
+      & opt (some positive_int) None
+      & info [ "repeats" ] ~docv:"N"
+          ~doc:
+            "Timing repeats per cell (default 2, or 1 with $(b,--quick)); \
+             the regression detector needs several.")
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"DIR"
+          ~doc:
+            "Write $(docv)/BENCH_<experiment>.json per experiment with its \
+             raw cells (read by $(b,baseline) and $(b,compare)).")
+  in
+  let cache_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "cache" ] ~docv:"DIR"
+          ~doc:
+            "Persist measured cells (and, with $(b,--switch-at), setup \
+             checkpoints) to $(docv), keyed by a digest of the engine knobs, \
+             arch, workload and iteration counts.")
+  in
+  let retries_arg =
+    Arg.(
+      value & opt non_negative_int 0
+      & info [ "retries" ] ~docv:"N"
+          ~doc:"Re-run a crashed cell up to $(docv) times with backoff.")
+  in
+  let insn_budget_arg =
+    Arg.(
+      value
+      & opt (some positive_int) None
+      & info [ "insn-budget" ] ~docv:"N"
+          ~doc:
+            "Watchdog: any engine run past $(docv) guest instructions stops, \
+             so a runaway cell fails instead of spinning.")
+  in
+  let switch_arg =
     Arg.(
       value
       & opt (some switch_at_conv) None
@@ -1650,47 +1641,60 @@ let report_cmd =
              restore) setup up to $(docv) and start the timed engine \
              there.  Pair with $(b,--cache) to persist the warm boots.")
   in
-  let report_cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:
-            "Persist measured cells (and, with $(b,--switch-at), setup \
-             checkpoints) to $(docv).")
-  in
-  let action quick switch_at cache_dir figs =
+  let action quick jobs repeats json_dir cache_dir deadline retries insn_budget
+      switch_at experiments =
+    Option.iter Sb_sim.Runner.set_insn_budget insn_budget;
     let config =
       if quick then Sb_report.Experiments.quick_config
       else Sb_report.Experiments.default_config
     in
-    let config = { config with Sb_report.Experiments.switch_at } in
-    let opts = { Sb_report.Experiments.sequential with cache_dir } in
-    let all =
-      [
-        ("fig2", fun () -> Sb_report.Experiments.fig2 ~config ~opts ());
-        ("fig3", fun () -> Sb_report.Experiments.fig3 ~config ());
-        ("fig4", fun () -> Sb_report.Experiments.fig4 ());
-        ("fig5", fun () -> Sb_report.Experiments.fig5 ());
-        ("fig6", fun () -> Sb_report.Experiments.fig6 ~config ~opts ());
-        ("fig7", fun () -> Sb_report.Experiments.fig7 ~config ~opts ());
-        ("fig8", fun () -> Sb_report.Experiments.fig8 ~config ~opts ());
-      ]
+    let config =
+      {
+        config with
+        Sb_report.Experiments.repeats =
+          Option.value repeats ~default:config.Sb_report.Experiments.repeats;
+        switch_at;
+      }
     in
-    let selected = if figs = [] then List.map fst all else figs in
-    List.fold_left
-      (fun code name ->
-        match List.assoc_opt name all with
-        | Some f ->
-          print_endline (f ());
-          code
-        | None ->
-          Printf.eprintf "unknown figure %S\n" name;
-          1)
-      0 selected
+    let opts = { Sb_report.Experiments.jobs; cache_dir; deadline; retries } in
+    let experiments =
+      if experiments <> [] then experiments
+      else
+        List.filter
+          (fun (e : Sb_report.Registry.experiment) -> e.default)
+          Sb_report.Registry.all
+    in
+    List.iter
+      (fun (e : Sb_report.Registry.experiment) ->
+        Printf.printf "=== %s ===\n%!" e.name;
+        Sb_report.Experiments.reset_records ();
+        let t0 = Unix.gettimeofday () in
+        print_string (e.run config opts);
+        Printf.printf "\n[%s generated in %.1fs]\n\n%!" e.name
+          (Unix.gettimeofday () -. t0);
+        Option.iter
+          (fun dir ->
+            let out = Filename.concat dir ("BENCH_" ^ e.name ^ ".json") in
+            let rows = Sb_report.Experiments.recorded () in
+            Sb_regress.Baseline.write_json ~out
+              (Sb_regress.Baseline.bench_json ~run:(opts, config)
+                 ~experiment:e.name
+                 (List.map Sb_report.Experiments.row_to_json rows));
+            Printf.printf "[wrote %s: %d cells]\n%!" out (List.length rows))
+          json_dir)
+      experiments;
+    0
   in
-  Cmd.v (Cmd.info "report" ~doc:"Regenerate the paper's tables and figures.")
-    Term.(const action $ quick_arg $ report_switch_arg $ report_cache_arg $ figs_arg)
+  Cmd.v
+    (Cmd.info "report"
+       ~doc:
+         "Run the paper's tables and figures, the extension table and the \
+          ablations, printing each table; with $(b,--json) also write every \
+          measured cell.  See EXPERIMENTS.md.")
+    Term.(
+      const action $ quick_arg $ jobs_arg $ repeats_arg $ json_arg $ cache_arg
+      $ deadline_arg $ retries_arg $ insn_budget_arg $ switch_arg
+      $ experiments_arg)
 
 let () =
   let doc = "SimBench: targeted micro-benchmarks for full-system simulators" in

@@ -5,7 +5,7 @@
 
    This uses the lowest-level public API: the SBA-32 assembler, a machine,
    and an engine.  For running the actual benchmark suite, see
-   compare_engines.ml; for the paper's experiments, bench/main.exe. *)
+   compare_engines.ml; for the paper's experiments, `simbench report`. *)
 
 module SI = Sb_arch_sba.Insn
 open Sb_asm.Assembler

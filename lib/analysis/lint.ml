@@ -473,3 +473,59 @@ let lint_suite ?benches () =
             lint_bench ~support bench ))
         benches)
     Engines.all_arches
+
+let json_schema = "simbench-lint-json-1"
+
+let to_json ~errors ~warnings lints pass_violations =
+  let open Sb_util.Json in
+  let finding f =
+    let loc =
+      match f.loc with
+      | None -> []
+      | Some l -> (
+        ("op", Int l.Cfg.index)
+        ::
+        (match l.Cfg.context with
+        | Some label -> [ ("label", String label); ("offset", Int l.Cfg.offset) ]
+        | None -> []))
+    in
+    Obj
+      ([
+         ("rule", String f.rule);
+         ("severity", String (severity_name f.severity));
+         ("region", String f.region);
+       ]
+      @ loc
+      @ [ ("message", String f.message) ])
+  in
+  let violation (bench, arch, (v : Ir_check.violation)) =
+    Obj
+      [
+        ("bench", String bench);
+        ("arch", String arch);
+        ("pass", String v.Ir_check.pass);
+        ( "version",
+          match v.Ir_check.version with Some ver -> String ver | None -> Null );
+        ("va", Int v.Ir_check.va);
+        ("insn", Int v.Ir_check.index);
+        ("message", String (Ir_check.message v));
+      ]
+  in
+  Obj
+    [
+      ("schema", String json_schema);
+      ( "lints",
+        List
+          (List.map
+             (fun (bench, arch, fs) ->
+               Obj
+                 [
+                   ("bench", String bench);
+                   ("arch", String arch);
+                   ("findings", List (List.map finding fs));
+                 ])
+             lints) );
+      ("pass_violations", List (List.map violation pass_violations));
+      ("errors", Int errors);
+      ("warnings", Int warnings);
+    ]

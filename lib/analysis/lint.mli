@@ -51,3 +51,18 @@ val lint_suite :
   (string * string * finding list) list
 (** Every benchmark (default: shipped suite + extension suite) under every
     architecture support package; [(bench, arch, findings)] triples. *)
+
+val json_schema : string
+(** ["simbench-lint-json-1"] — the [schema] field of {!to_json} output. *)
+
+val to_json :
+  errors:int ->
+  warnings:int ->
+  (string * string * finding list) list ->
+  (string * string * Ir_check.violation) list ->
+  Sb_util.Json.t
+(** The [simbench lint --json] document: the [(bench, arch, findings)]
+    triples of {!lint_suite}, then the optimiser-pass violations found
+    over the same images as [(bench, arch, violation)], then the error and
+    warning totals.  A finding's ["op"], ["label"] and ["offset"] appear
+    only when its location has them. *)

@@ -113,7 +113,31 @@ let parse ~source s =
   | Ok j -> Ok j
   | Error msg -> error_in ~source msg
 
-(* one BENCH_<experiment>.json written by bench/main.exe --json *)
+(* one BENCH_<experiment>.json: the writer, then the reader *)
+let bench_json ?run ~experiment cells =
+  let recording =
+    match run with
+    | None -> []
+    | Some ((opts : Sb_report.Experiments.run_opts), config) ->
+      let open Sb_report.Experiments in
+      [
+        ("jobs", Json.Int opts.jobs);
+        ( "config",
+          Json.Obj
+            [
+              ("scale", Json.Int config.scale);
+              ("workload_iters", Json.Int config.workload_iters);
+              ("repeats", Json.Int config.repeats);
+              ("switch_at", Json.String (switch_name config.switch_at));
+            ] );
+      ]
+  in
+  Json.Obj
+    ((("schema", Json.String bench_schema)
+     :: ("experiment", Json.String experiment)
+     :: recording)
+    @ [ ("cells", Json.List cells) ])
+
 let load_bench_file path =
   let* s = read_file path in
   let* j = parse ~source:path s in
@@ -199,9 +223,11 @@ let json_of_run (run : Regress.run) =
       ("cells", Json.List (List.map json_of_cell run.Regress.cells));
     ]
 
-let write_snapshot ~out run =
+let write_json ~out j =
   Sb_jobs.Cache.mkdir_p (Filename.dirname out);
   let oc = open_out out in
-  output_string oc (Json.to_string (json_of_run run));
+  output_string oc (Json.to_string j);
   output_char oc '\n';
   close_out oc
+
+let write_snapshot ~out run = write_json ~out (json_of_run run)

@@ -5,7 +5,8 @@
     message instead of mis-decoded:
 
     - a {e run directory}: the [BENCH_<experiment>.json] files written by
-      [bench/main.exe --json DIR] (schema {!bench_schema});
+      [simbench report --json DIR] (schema {!bench_schema}, built by
+      {!bench_json});
     - a {e snapshot}: one self-contained file merging every cell of a run
       (schema {!snapshot_schema}), written by [simbench baseline] and the
       thing you check in as a CI baseline (see [bench/baseline/]). *)
@@ -30,6 +31,18 @@ val cell_of_json :
     carries none (bench files record it once at top level).  Errors name
     [source] and the cell. *)
 
+val bench_json :
+  ?run:Sb_report.Experiments.run_opts * Sb_report.Experiments.config ->
+  experiment:string ->
+  Sb_util.Json.t list ->
+  Sb_util.Json.t
+(** A bench-schema document: [schema], [experiment], then with [run] the
+    recording's [jobs] and [config] ([scale], [workload_iters], [repeats],
+    [switch_at]), then [cells] — {!Sb_report.Experiments.row_to_json}
+    objects, in order.  [simbench report --json] writes one per
+    experiment; [client --json] and [client --dump] have no recording
+    settings and pass no [run]. *)
+
 val load_bench_file : string -> (Regress.cell list, string) result
 (** One [BENCH_*.json] file; rejects files not tagged {!bench_schema}. *)
 
@@ -52,5 +65,9 @@ val filter_engine : Regress.run -> string -> Regress.run
 
 val json_of_run : Regress.run -> Sb_util.Json.t
 
+val write_json : out:string -> Sb_util.Json.t -> unit
+(** Write one document and a newline to [out], creating parent
+    directories as needed. *)
+
 val write_snapshot : out:string -> Regress.run -> unit
-(** Serialize as a snapshot, creating parent directories as needed. *)
+(** {!write_json} of {!json_of_run}. *)

@@ -2,51 +2,40 @@
 
     Each study sweeps one implementation mechanism and reports the SimBench
     benchmarks that mechanism is supposed to dominate — the suite validating
-    the simulators, exactly as the paper uses it.
+    the simulators, exactly as the paper uses it.  A study is data: a
+    {!spec} names its benchmarks and its variant columns, and {!sweep}
+    measures and renders any of them. *)
 
-    Each cell is measured by {!Experiments.measure} on the SBA guest, with
-    the [scale] and [repeats] of the given {!Experiments.config}
-    (default {!Experiments.default_config}); unless a study fixes the
-    iteration count, it is the Figure 3 count divided by [scale], floored
-    at 1000.  With [?opts] (see {!Experiments.run_opts}) the
-    variant columns of each study run as parallel {!Sb_jobs.Pool} tasks.
-    The engine variants are built from closures, so ablation cells are
-    never disk-cached — only forked. *)
+type spec = {
+  name : string;  (** the experiment name, e.g. ["abl-traces"] *)
+  title : string;  (** the paragraph printed above the table *)
+  benches : Simbench.Bench.t list;  (** the table's rows *)
+  iters : int option;
+      (** a fixed iteration count; [None] is the Figure 3 count divided by
+          the config's [scale], floored at 1000 *)
+  variants : (string * (unit -> Sb_sim.Engine.t)) list;
+      (** the table's columns: a label and the engine it measures, built
+          when the column runs *)
+}
 
-val chaining :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** DBT block chaining on/off against the control-flow benchmarks. *)
+val sweep :
+  ?opts:Experiments.run_opts -> config:Experiments.config -> spec -> string
+(** Measure every bench under every variant on the SBA guest with
+    {!Experiments.measure} (the config's [repeats]; [scale] only through
+    the default iteration count) and render the table of kernel seconds.
+    Each variant column is one {!Sb_jobs.Pool} task run with [opts]
+    (default {!Experiments.sequential}); the engines are closures, so
+    ablation cells are forked but never disk-cached.  Every row goes to
+    {!Experiments.record} with the engine label [<name>:<column>] (for
+    example ["abl-traces:thr=4"]), so [--json] output and the regression
+    gates see it; a lost column records failure rows and renders as
+    ["-"]. *)
 
-val page_cache :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Page-cache geometry (L1 size, L2 presence, lazy flush) against the
-    memory-system benchmarks. *)
-
-val optimiser :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Optimiser pass budget vs translation-heavy and compute-heavy
-    benchmarks: the code-quality/translation-cost trade-off. *)
-
-val traces :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Hot-trace superblock formation on/off and knob sweep (threshold,
-    maximum trace length) against the control-flow and self-modifying-code
-    benchmarks; see docs/traces.md. *)
-
-val threaded :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Token-threaded code generation vs the closure backend, with and without
-    the trace-scope register cache, against the compute-dense and
-    self-modifying benchmarks; see docs/threaded.md. *)
-
-val vm_exit :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Virtualization exit cost sweep against the trap-heavy benchmarks (the
-    KVM signature). *)
-
-val predecode :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
-(** Interpreter pre-decoding on/off. *)
-
-val all :
-  ?config:Experiments.config -> ?opts:Experiments.run_opts -> unit -> string
+val all : spec list
+(** The seven studies, in report order: [abl-chain] (DBT block
+    chaining), [abl-tlb] (page-cache geometry and lazy flush), [abl-opt]
+    (optimiser pass budget), [abl-traces] (hot-trace superblocks, see
+    docs/traces.md), [abl-threaded] (token-threaded code generation and
+    the trace-scope register cache, see docs/threaded.md), [abl-vmexit]
+    (virtualization exit cost) and [abl-predecode] (interpreter
+    pre-decoding). *)

@@ -449,6 +449,12 @@ let version_cells ~arch ~kind () =
   (arch, kind, baseline_dbt)
   :: List.map (fun v -> (arch, kind, config_of_version v)) version_names
 
+let version_sweep config =
+  version_cells ~arch:Sb_isa.Arch_sig.Sba ~kind:`Suite ()
+  @ version_cells ~arch:Sb_isa.Arch_sig.Vlx ~kind:`Suite ()
+  @ version_cells ~arch:Sb_isa.Arch_sig.Sba
+      ~kind:(`Workloads config.workload_iters) ()
+
 (* ------------------------------------------------------------------ *)
 (* Paper-engine columns (Figures 7 and the extension table)             *)
 (* ------------------------------------------------------------------ *)
@@ -832,23 +838,3 @@ let synthetic_faults ?(opts = sequential) () =
      pool: %d executed, %d failed, %d timed out, %d retried, %d quarantined\n"
     deadline jobs table stats.Pool.executed stats.Pool.failed
     stats.Pool.timed_out stats.Pool.retried stats.Pool.quarantined
-
-let all ?(config = default_config) ?(opts = sequential) () =
-  (* one prefetch of the union before rendering: with -j N the whole
-     version sweep (both kinds, both guests) fills the pool at once *)
-  prefetch ~opts ~config
-    (version_cells ~arch:Sb_isa.Arch_sig.Sba ~kind:`Suite ()
-    @ version_cells ~arch:Sb_isa.Arch_sig.Vlx ~kind:`Suite ()
-    @ version_cells ~arch:Sb_isa.Arch_sig.Sba
-        ~kind:(`Workloads config.workload_iters) ());
-  String.concat "\n\n"
-    [
-      fig2 ~config ~opts ();
-      fig3 ~config ();
-      fig4 ();
-      fig5 ();
-      fig6 ~config ~opts ();
-      fig7 ~config ~opts ();
-      fig8 ~config ~opts ();
-      extensions ~config ~opts ();
-    ]

@@ -1,5 +1,7 @@
 (** Experiment drivers: one entry point per table/figure of the paper's
-    evaluation (see DESIGN.md section 6 for the index).
+    evaluation (see DESIGN.md section 6 for the index).  {!Registry} lists
+    them, with the {!Ablations}, under the names [simbench report]
+    accepts.
 
     Each driver runs the required sweep and renders a plain-text table (for
     the paper's tables) or a labelled series table (for its line graphs).
@@ -33,6 +35,10 @@ val default_config : config
 
 val quick_config : config
 (** Cheap settings for tests and smoke runs. *)
+
+val switch_name : Simbench.Checkpoint.point option -> string
+(** ["cold"], or the switch point as {!Simbench.Checkpoint.point_to_string}
+    spells it: the [switch_at] of bench JSON and part of every cache key. *)
 
 type run_opts = {
   jobs : int;  (** worker processes; 1 = in-process sequential *)
@@ -86,7 +92,7 @@ type row = {
 (** {2 The row path}
 
     Every driver — the figure sweeps, {!Ablations}, the serve daemon,
-    [Sb_regress.Baseline] and [bench/main.exe --json] — measures, fails
+    [Sb_regress.Baseline] and [simbench report --json] — measures, fails
     and encodes a cell through these functions. *)
 
 type target = Bench of Simbench.Bench.t | Workload of Sb_workloads.Workloads.t
@@ -124,8 +130,18 @@ val failure_row :
 val mark_retried : int -> row -> row
 (** Status ["retried <n>"]: the row succeeded after [n] crashed attempts. *)
 
+val rows_of_outcome :
+  arch:Sb_isa.Arch_sig.arch_id ->
+  label:string ->
+  cells:string list ->
+  row list Sb_jobs.Pool.outcome ->
+  row list
+(** The rows of one pool task that measures [cells] under engine [label]:
+    a late success is {!mark_retried}, and a lost task (crash, timeout,
+    quarantine) warns on stderr and becomes one {!failure_row} per cell. *)
+
 val row_to_json : row -> Sb_util.Json.t
-(** The cell object of [bench/main.exe --json] files and of serve [row]
+(** The cell object of [simbench report --json] files and of serve [row]
     frames; [nan] seconds encode as [null]. *)
 
 val row_of_json : Sb_util.Json.t -> (row, string) result
@@ -138,9 +154,13 @@ val reset_memo : unit -> unit
 
 val reset_records : unit -> unit
 
+val record : row list -> unit
+(** Add rows to {!recorded}; a row whose (engine, arch, cell) is already
+    there is ignored. *)
+
 val recorded : unit -> row list
 (** Every cell touched since the last {!reset_records}, sorted — the
-    payload of [bench/main.exe --json]. *)
+    payload of [simbench report --json]. *)
 
 type cell_kind = [ `Suite | `Workloads of int ]
 
@@ -164,6 +184,12 @@ val prefetch :
     {e not} abort the run: it is memoized as placeholder rows with the
     corresponding non-ok {!row.row_status} (one per benchmark of the
     cell), a warning goes to stderr, and rendering continues with gaps. *)
+
+val version_sweep :
+  config -> (Sb_isa.Arch_sig.arch_id * cell_kind * Sb_dbt.Config.t) list
+(** Every cell Figures 2, 6 and 8 read: both guests' suites and the SBA
+    workloads, under the baseline and every release.  The [all]
+    experiment {!prefetch}es it in one pool pass. *)
 
 val cell_rows :
   ?opts:run_opts ->
@@ -197,10 +223,6 @@ val fig8 : ?config:config -> ?opts:run_opts -> unit -> string
 val extensions : ?config:config -> ?opts:run_opts -> unit -> string
 (** The extension benchmarks (future work implemented) across the five
     platforms. *)
-
-val all : ?config:config -> ?opts:run_opts -> unit -> string
-(** Every experiment, in figure order, with headers; prefetches the whole
-    version sweep in one pool pass first. *)
 
 val synthetic_faults : ?opts:run_opts -> unit -> string
 (** Harness self-check: drive one healthy, one crashing and one hanging

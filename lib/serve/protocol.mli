@@ -19,7 +19,7 @@
     by the server.
 
     A [row] frame's cell is {!Sb_report.Experiments.row_to_json} of the
-    row, the cell object of [bench/main.exe --json] files, so rows
+    row, the cell object of [simbench report --json] files, so rows
     streamed from a server decode with the same
     {!Sb_report.Experiments.row_of_json} that [Sb_regress.Baseline] and
     the [compare]/[baseline] verbs use.  A missing or ill-typed field is

@@ -1,7 +1,7 @@
 (** Minimal JSON emitter/parser for machine-readable benchmark results.
 
     Deliberately dependency-free: the container bakes in no JSON library.
-    The harness {e writes} JSON ([bench/main.exe --json]) and the
+    The harness {e writes} JSON ([simbench report --json]) and the
     regression detector ({!Sb_regress}) {e reads} it back.  Non-finite
     floats serialise as [null] (JSON has no NaN); the float accessor maps
     [null] back to [nan]. *)

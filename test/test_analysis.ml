@@ -340,6 +340,63 @@ let test_validated_sweep_covers_traces () =
     Alcotest.failf "divergence (%s vs %s): %s" d.Sb_verify.Verify.reference_engine
       d.Sb_verify.Verify.diverging_engine d.Sb_verify.Verify.detail
 
+(* lint --json goes through Sb_util.Json: strings holding a quote, a
+   newline and control bytes come back unchanged, in the schema's key
+   order *)
+let test_lint_json_round_trip () =
+  let module Json = Sb_util.Json in
+  let message = "say \"hi\"\nthen\x01 and \x1f\\" in
+  let label = "l\tbl\"\r" in
+  let finding =
+    {
+      Lint.rule = "use-before-def";
+      severity = Lint.Warning;
+      region = "kernel\n";
+      loc = Some { Sb_analysis.Cfg.index = 3; context = Some label; offset = 2 };
+      message;
+    }
+  in
+  let violation =
+    {
+      Ir_check.pass = "dce\"";
+      version = None;
+      va = 0x1000;
+      index = 1;
+      detail = "r1:\x02\n";
+    }
+  in
+  let doc =
+    Lint.to_json ~errors:1 ~warnings:1
+      [ ("bench \"q\"", "sba", [ finding ]) ]
+      [ ("bench", "vlx", violation) ]
+  in
+  match Json.of_string (Json.to_string doc) with
+  | Error msg -> Alcotest.fail msg
+  | Ok j ->
+    Alcotest.(check bool) "decodes to the same document" true (j = doc);
+    let keys = function Json.Obj fs -> List.map fst fs | _ -> [] in
+    Alcotest.(check (list string)) "top-level keys"
+      [ "schema"; "lints"; "pass_violations"; "errors"; "warnings" ]
+      (keys j);
+    let first name j =
+      match Option.bind (Json.member name j) Json.list_opt with
+      | Some (x :: _) -> x
+      | _ -> Alcotest.failf "no %s" name
+    in
+    let str name j = Option.bind (Json.member name j) Json.string_opt in
+    let f = first "findings" (first "lints" j) in
+    Alcotest.(check (list string)) "finding keys"
+      [ "rule"; "severity"; "region"; "op"; "label"; "offset"; "message" ]
+      (keys f);
+    Alcotest.(check (option string)) "message" (Some message) (str "message" f);
+    Alcotest.(check (option string)) "label" (Some label) (str "label" f);
+    let v = first "pass_violations" j in
+    Alcotest.(check (option string)) "violation message"
+      (Some (Ir_check.message violation))
+      (str "message" v);
+    Alcotest.(check bool) "no version is null" true
+      (Json.member "version" v = Some Json.Null)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -385,5 +442,10 @@ let () =
             test_validated_sweep_is_clean;
           Alcotest.test_case "validated sweep covers traces" `Quick
             test_validated_sweep_covers_traces;
+        ] );
+      ( "lint-json",
+        [
+          Alcotest.test_case "strings round-trip" `Quick
+            test_lint_json_round_trip;
         ] );
     ]

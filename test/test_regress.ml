@@ -463,6 +463,57 @@ let test_snapshot_round_trip () =
       cells loaded.Regress.cells);
   rm_rf dir
 
+(* the report's bench file: top-level keys in the documented order, and
+   every cell read back under the file's experiment *)
+let test_bench_file_round_trip () =
+  let dir = tmp_dir "sb_regress_bench" in
+  let without_experiment c =
+    match Baseline.json_of_cell c with
+    | Json.Obj fs -> Json.Obj (List.remove_assoc "experiment" fs)
+    | j -> j
+  in
+  let cells =
+    [
+      cell ~name:"Small Blocks" ~engine:"abl-x:a" ~insns:1234 [ 1.0; 1.25 ];
+      cell ~name:"Small Blocks" ~engine:"abl-x:b" [ 0.5 ];
+    ]
+  in
+  let config =
+    { Sb_report.Experiments.quick_config with repeats = 2 }
+  in
+  let opts = { Sb_report.Experiments.sequential with jobs = 3 } in
+  let out = Filename.concat dir "BENCH_abl-x.json" in
+  Baseline.write_json ~out
+    (Baseline.bench_json ~run:(opts, config) ~experiment:"abl-x"
+       (List.map without_experiment cells));
+  let keys = function Json.Obj fs -> List.map fst fs | _ -> [] in
+  (match Json.of_string (In_channel.with_open_bin out In_channel.input_all) with
+  | Error msg -> Alcotest.fail msg
+  | Ok j ->
+    Alcotest.(check (list string)) "top-level keys"
+      [ "schema"; "experiment"; "jobs"; "config"; "cells" ]
+      (keys j);
+    Alcotest.(check (list string)) "config keys"
+      [ "scale"; "workload_iters"; "repeats"; "switch_at" ]
+      (keys (Option.get (Json.member "config" j)));
+    Alcotest.(check (option int)) "jobs" (Some 3)
+      (Option.bind (Json.member "jobs" j) Json.int_opt));
+  (match Baseline.load_bench_file out with
+  | Error msg -> Alcotest.fail msg
+  | Ok loaded ->
+    Alcotest.(check (list string)) "experiment from the file" [ "abl-x"; "abl-x" ]
+      (List.map (fun (c : Regress.cell) -> c.Regress.experiment) loaded);
+    Alcotest.(check (list string)) "engines" [ "abl-x:a"; "abl-x:b" ]
+      (List.map (fun (c : Regress.cell) -> c.Regress.engine) loaded);
+    Alcotest.(check (list int)) "insns" [ 1234; 5_000 ]
+      (List.map (fun (c : Regress.cell) -> c.Regress.kernel_insns) loaded));
+  (* without recording settings (the serve client) there is no jobs or
+     config *)
+  Alcotest.(check (list string)) "serve keys"
+    [ "schema"; "experiment"; "cells" ]
+    (keys (Baseline.bench_json ~experiment:"serve" []));
+  rm_rf dir
+
 let test_old_schema_rejected () =
   let dir = tmp_dir "sb_regress_schema" in
   (* a pre-samples bench file: no "schema" field at all *)
@@ -593,6 +644,8 @@ let () =
       ( "schema",
         [
           Alcotest.test_case "snapshot round trip" `Quick test_snapshot_round_trip;
+          Alcotest.test_case "bench file round trip" `Quick
+            test_bench_file_round_trip;
           Alcotest.test_case "old schema rejected" `Quick test_old_schema_rejected;
           Alcotest.test_case "missing field named" `Quick test_missing_field_named;
           Alcotest.test_case "cache eviction logged" `Quick

@@ -78,8 +78,40 @@ let test_suite_times_memoized () =
   Alcotest.(check bool) "memo hit is instant" true (second < first /. 2. || second < 0.001);
   Alcotest.(check int) "covers the suite" 18 (List.length a)
 
+let experiment name =
+  match
+    List.find_opt
+      (fun (e : Sb_report.Registry.experiment) -> e.name = name)
+      Sb_report.Registry.all
+  with
+  | Some e -> e
+  | None -> Alcotest.failf "%s is not in the registry" name
+
+let test_registry () =
+  let names =
+    List.map (fun (e : Sb_report.Registry.experiment) -> e.name)
+  in
+  let all = names Sb_report.Registry.all in
+  Alcotest.(check int) "names are unique" (List.length all)
+    (List.length (List.sort_uniq compare all));
+  Alcotest.(check (list string))
+    "registry order"
+    ([ "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "ext" ]
+    @ List.map
+        (fun (s : Sb_report.Ablations.spec) -> s.name)
+        Sb_report.Ablations.all
+    @ [ "synthetic-faults"; "all" ])
+    all;
+  Alcotest.(check (list string))
+    "a bare report skips synthetic-faults and all"
+    (List.filter (fun n -> n <> "synthetic-faults" && n <> "all") all)
+    (names
+       (List.filter
+          (fun (e : Sb_report.Registry.experiment) -> e.default)
+          Sb_report.Registry.all))
+
 let test_ablation_table () =
-  let out = Sb_report.Ablations.chaining ~config () in
+  let out = (experiment "abl-chain").run config Sb_report.Experiments.sequential in
   let lines = String.split_on_char '\n' out in
   List.iter
     (fun v -> Alcotest.(check bool) (v ^ " column") true (contains out v))
@@ -115,6 +147,39 @@ let test_ablation_table () =
         inter_page_indirect;
       ]
 
+(* every ablation cell reaches --json: one row per bench and column, each
+   labelled with its experiment and column *)
+let test_ablation_rows () =
+  let spec =
+    List.find
+      (fun (s : Sb_report.Ablations.spec) -> s.name = "abl-traces")
+      Sb_report.Ablations.all
+  in
+  Sb_report.Experiments.reset_records ();
+  ignore ((experiment "abl-traces").run config Sb_report.Experiments.sequential);
+  let rows = Sb_report.Experiments.recorded () in
+  Alcotest.(check int) "benches x columns rows"
+    (List.length spec.benches * List.length spec.variants)
+    (List.length rows);
+  List.iter
+    (fun (label, _) ->
+      List.iter
+        (fun b ->
+          let engine = "abl-traces:" ^ label in
+          match
+            List.find_opt
+              (fun (r : Sb_report.Experiments.row) ->
+                r.row_engine = engine && r.row_cell = b.Simbench.Bench.name)
+              rows
+          with
+          | None -> Alcotest.failf "no row for %s / %s" engine b.Simbench.Bench.name
+          | Some r ->
+            Alcotest.(check string) (engine ^ " status") "ok" r.row_status;
+            Alcotest.(check bool) (engine ^ " kernel_insns") true
+              (r.row_kernel_insns > 0))
+        spec.benches)
+    spec.variants
+
 let () =
   Alcotest.run "sb_report"
     [
@@ -129,5 +194,10 @@ let () =
           Alcotest.test_case "memoization" `Quick test_suite_times_memoized;
         ] );
       ( "ablations",
-        [ Alcotest.test_case "chaining table" `Quick test_ablation_table ] );
+        [
+          Alcotest.test_case "chaining table" `Quick test_ablation_table;
+          Alcotest.test_case "rows are recorded" `Quick test_ablation_rows;
+        ] );
+      ( "experiment-registry",
+        [ Alcotest.test_case "names and defaults" `Quick test_registry ] );
     ]
