@@ -37,7 +37,8 @@ val machine : Platform.t -> Sb_sim.Machine.t
     machine is valid until the next call in the process, which clears and
     reuses the same buffer.  A forked child starts its own pool on its
     first call and never writes into the buffer it shares copy-on-write
-    with its parent. *)
+    with its parent; a persistent pool worker then keeps that buffer for
+    every cell it runs. *)
 
 val run :
   ?platform:Platform.t ->

@@ -1,6 +1,9 @@
-type 'a task = { key : string option; label : string; run : unit -> 'a }
+(* A unit of work: [req] is a thunk for {!run}, plain data for {!Sched}. *)
+type 'r job = { key : string option; label : string; req : 'r }
 
-let task ?key ~label run = { key; label; run }
+type 'a task = (unit -> 'a) job
+
+let task ?key ~label run = { key; label; req = run }
 
 let label t = t.label
 
@@ -104,8 +107,8 @@ let quarantine_failure t =
         !quarantine_after;
   }
 
-let run_task t =
-  match t.run () with
+let capture f x =
+  match f x with
   | v -> Ok v
   | exception e -> Error (Printexc.to_string e)
 
@@ -157,7 +160,7 @@ let run_seq ?cancel ~cache ~stats ~retries ~backoff tasks =
         | None ->
           let rec attempt k =
             stats.executed <- stats.executed + 1;
-            match run_task t with
+            match capture t.req () with
             | Ok v ->
               cache_store cache t v;
               if k = 1 then Done v else Retried (v, k - 1)
@@ -183,56 +186,126 @@ let run_seq ?cancel ~cache ~stats ~retries ~backoff tasks =
     tasks
 
 (* ------------------------------------------------------------------ *)
-(* Incremental scheduler: the forked-worker event machinery exposed as  *)
-(* a pump-style API so a surrounding event loop (the batch [run] below, *)
-(* or the [Sb_serve] daemon's socket loop) can multiplex worker pipes   *)
-(* alongside its own file descriptors.  Each submitted task resolves    *)
-(* through quarantine and the cache first; misses fork one worker per   *)
-(* attempt, at most [jobs] live at once, and the completion callback    *)
-(* fires as outcomes land (completion order, not submission order).     *)
+(* Pool workers.  A worker is a forked process that keeps the work      *)
+(* function it inherited and answers one request after another over its *)
+(* own pair of pipes, so what a process keeps between cells (the        *)
+(* harness's pooled guest RAM, the engines' recycled tables) outlives a *)
+(* cell.  Requests and results are marshalled plain data; no closure    *)
+(* crosses a pipe.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Unix.file_descr] is the descriptor number wherever [Unix.fork]
+   exists. *)
+let descr_of_int : int -> Unix.file_descr = Obj.magic
+
+(* A forked worker inherits every descriptor of its parent: client and
+   listener sockets, sibling workers' pipe ends.  Holding them would keep
+   a socket the parent closed open at its peer, and keep a sibling's
+   request pipe open after the parent closed it or died, so that sibling
+   would never read end of file.  Close all but stdio and [keep]. *)
+let close_inherited ~keep =
+  let listing =
+    List.find_map
+      (fun dir -> try Some (Sys.readdir dir) with Sys_error _ -> None)
+      [ "/proc/self/fd"; "/dev/fd" ]
+  in
+  Array.iter
+    (fun name ->
+      match int_of_string_opt name with
+      | Some n when n > 2 && not (List.mem (descr_of_int n) keep) -> (
+        try Unix.close (descr_of_int n) with Unix.Unix_error _ -> ())
+      | _ -> ())
+    (Option.value listing ~default:[||])
+
+(* The body of a worker: answer requests until the request pipe reaches
+   end of file (the scheduler closed it, or died), then [_exit], skipping
+   the parent's at_exit handlers and buffered output.  A result that
+   cannot be marshalled, or a scheduler gone mid-write, ends the worker
+   the same way, and the scheduler reports the death. *)
+let worker_loop work ~requests ~results =
+  close_inherited ~keep:[ requests; results ];
+  let ic = Unix.in_channel_of_descr requests in
+  let rec loop () =
+    match Marshal.from_channel ic with
+    | exception _ -> Unix._exit 0
+    | req -> (
+      match Marshal.to_string (capture work req) [] with
+      | exception _ -> Unix._exit 0
+      | payload -> (
+        match Unix.write_substring results payload 0 (String.length payload) with
+        | _ -> loop ()
+        | exception Unix.Unix_error _ -> Unix._exit 0))
+  in
+  loop ()
+
+(* The bytes of the complete result at the head of [buf], once all of
+   them have arrived: the marshal header gives the length. *)
+let result_payload buf =
+  let have = Buffer.length buf in
+  if have < Marshal.header_size then None
+  else
+    let header = Bytes.unsafe_of_string (Buffer.sub buf 0 Marshal.header_size) in
+    let total = Marshal.total_size header 0 in
+    if have < total then None else Some (Buffer.sub buf 0 total)
+
+(* ------------------------------------------------------------------ *)
+(* Incremental scheduler: the worker machinery exposed as a pump-style  *)
+(* API so a surrounding event loop (the batch [run] below, or the       *)
+(* [Sb_serve] daemon's socket loop) can multiplex worker pipes          *)
+(* alongside its own file descriptors.  Each submitted job resolves     *)
+(* through quarantine and the cache first; misses queue for one of at   *)
+(* most [jobs] workers, forked at the first dispatch that finds none    *)
+(* free, and the completion callback fires as outcomes land (completion *)
+(* order, not submission order).                                        *)
 (* ------------------------------------------------------------------ *)
 
 module Sched = struct
-  type 'a entry = {
-    e_task : 'a task;
+  type ('r, 'a) entry = {
+    e_job : 'r job;
     e_cancel : token option;
     e_k : 'a outcome -> unit;
   }
 
-  type 'a child = {
-    c_entry : 'a entry;
-    c_attempt : int; (* 1-based *)
-    c_pid : int;
-    c_fd : Unix.file_descr;
-    c_buf : Buffer.t;
-    c_start : float;
+  type ('r, 'a) running = {
+    r_entry : ('r, 'a) entry;
+    r_attempt : int; (* 1-based *)
+    r_start : float;
   }
 
-  type 'a t = {
+  type ('r, 'a) worker = {
+    w_pid : int;
+    w_requests : Unix.file_descr; (* write end *)
+    w_results : Unix.file_descr; (* read end, non-blocking *)
+    w_buf : Buffer.t; (* result bytes read so far *)
+    mutable w_running : ('r, 'a) running option; (* [None]: idle *)
+  }
+
+  type ('r, 'a) t = {
+    s_work : 'r -> 'a;
     s_jobs : int;
     s_cache : Cache.t option;
     s_stats : stats;
     s_deadline : float option;
     s_retries : int;
     s_backoff : float;
-    s_queue : ('a entry * int) Queue.t;
+    s_queue : (('r, 'a) entry * int) Queue.t;
     (* delayed retries: (ready_at, entry, attempt) *)
-    mutable s_delayed : (float * 'a entry * int) list;
-    (* children keyed by read-end fd: [Unix.select] hands fds back, and a
-       Hashtbl lookup is total — no [List.find] that can raise if an fd
-       number is recycled between loop iterations *)
-    s_active : (Unix.file_descr, 'a child) Hashtbl.t;
+    mutable s_delayed : (float * ('r, 'a) entry * int) list;
+    (* live workers keyed by their result fd, which is what [Unix.select]
+       hands back *)
+    s_workers : (Unix.file_descr, ('r, 'a) worker) Hashtbl.t;
     s_read_buf : Bytes.t;
   }
 
   let create ?(jobs = 1) ?cache ?stats:(s = stats ()) ?deadline ?(retries = 0)
-      ?(backoff = 0.05) () =
+      ?(backoff = 0.05) ~work () =
     (match deadline with
     | Some d when d <= 0.0 -> invalid_arg "Sched.create: deadline must be positive"
     | _ -> ());
     if retries < 0 then invalid_arg "Sched.create: retries must be non-negative";
     if backoff < 0.0 then invalid_arg "Sched.create: backoff must be non-negative";
     {
+      s_work = work;
       s_jobs = max 1 jobs;
       s_cache = cache;
       s_stats = s;
@@ -241,7 +314,7 @@ module Sched = struct
       s_backoff = backoff;
       s_queue = Queue.create ();
       s_delayed = [];
-      s_active = Hashtbl.create 16;
+      s_workers = Hashtbl.create 16;
       s_read_buf = Bytes.create 65536;
     }
 
@@ -250,56 +323,101 @@ module Sched = struct
 
   let deliver_cancelled st e =
     st.s_stats.cancelled <- st.s_stats.cancelled + 1;
-    e.e_k (Failed (cancelled_failure e.e_task))
+    e.e_k (Failed (cancelled_failure e.e_job))
 
-  let spawn st e ~attempt =
-    let r, w = Unix.pipe () in
+  let spawn st =
+    let requests_r, requests_w = Unix.pipe () in
+    let results_r, results_w = Unix.pipe () in
     flush stdout;
     flush stderr;
     match Unix.fork () with
-    | 0 ->
-      Unix.close r;
-      let result = run_task e.e_task in
-      let oc = Unix.out_channel_of_descr w in
-      (try
-         Marshal.to_channel oc result [];
-         flush oc
-       with _ -> ());
-      (* _exit: skip at_exit handlers and buffered output shared with the
-         parent *)
-      Unix._exit 0
+    | 0 -> worker_loop st.s_work ~requests:requests_r ~results:results_w
     | pid ->
-      Unix.close w;
+      Unix.close requests_r;
+      Unix.close results_w;
+      (* a spurious readable report must never block the caller's loop *)
+      Unix.set_nonblock results_r;
       st.s_stats.forked <- st.s_stats.forked + 1;
-      st.s_stats.executed <- st.s_stats.executed + 1;
-      Hashtbl.replace st.s_active r
+      let w =
         {
-          c_entry = e;
-          c_attempt = attempt;
-          c_pid = pid;
-          c_fd = r;
-          c_buf = Buffer.create 256;
-          c_start = Unix.gettimeofday ();
+          w_pid = pid;
+          w_requests = requests_w;
+          w_results = results_r;
+          w_buf = Buffer.create 256;
+          w_running = None;
         }
+      in
+      Hashtbl.replace st.s_workers results_r w;
+      w
 
-  let fill st =
-    while
-      Hashtbl.length st.s_active < st.s_jobs && not (Queue.is_empty st.s_queue)
-    do
-      let e, attempt = Queue.pop st.s_queue in
-      if entry_cancelled e then deliver_cancelled st e
-      else spawn st e ~attempt
-    done
+  (* Stop a worker for good and reap it.  SIGKILL leaves the status of a
+     worker that already died alone, so the status says how it died. *)
+  let retire st w =
+    Hashtbl.remove st.s_workers w.w_results;
+    Unix.close w.w_requests;
+    Unix.close w.w_results;
+    (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
+    snd (restart_on_intr (fun () -> Unix.waitpid [] w.w_pid))
 
-  let submit st ?cancel t ~k =
-    let e = { e_task = t; e_cancel = cancel; e_k = k } in
+  let free_worker st =
+    let idle =
+      Hashtbl.fold
+        (fun _ w acc -> if w.w_running = None then Some w else acc)
+        st.s_workers None
+    in
+    match idle with
+    | Some _ -> idle
+    | None ->
+      if Hashtbl.length st.s_workers < st.s_jobs then Some (spawn st) else None
+
+  (* Hand [e] to the idle worker [w].  A worker that died while idle fails
+     the write with EPIPE; it is retired and [false] returned, so the
+     entry stays queued without an attempt counted.  SIGPIPE is ignored
+     around the write so that death cannot kill this process. *)
+  let send st w e ~attempt =
+    let payload = Marshal.to_string e.e_job.req [] in
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    let sent =
+      match
+        restart_on_intr (fun () ->
+            Unix.write_substring w.w_requests payload 0 (String.length payload))
+      with
+      | _ -> true
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> false
+    in
+    Sys.set_signal Sys.sigpipe sigpipe;
+    if sent then begin
+      st.s_stats.executed <- st.s_stats.executed + 1;
+      w.w_running <-
+        Some { r_entry = e; r_attempt = attempt; r_start = Unix.gettimeofday () }
+    end
+    else ignore (retire st w);
+    sent
+
+  let rec fill st =
+    match Queue.peek_opt st.s_queue with
+    | None -> ()
+    | Some (e, _) when entry_cancelled e ->
+      ignore (Queue.pop st.s_queue);
+      deliver_cancelled st e;
+      fill st
+    | Some (e, attempt) -> (
+      match free_worker st with
+      | None -> ()
+      | Some w ->
+        if send st w e ~attempt then ignore (Queue.pop st.s_queue);
+        fill st)
+
+  let submit st ?cancel ?key ~label req ~k =
+    let job = { key; label; req } in
+    let e = { e_job = job; e_cancel = cancel; e_k = k } in
     if entry_cancelled e then deliver_cancelled st e
-    else if is_quarantined t then begin
+    else if is_quarantined job then begin
       st.s_stats.quarantined <- st.s_stats.quarantined + 1;
-      k (Failed (quarantine_failure t))
+      k (Failed (quarantine_failure job))
     end
     else
-      match cache_load st.s_cache t with
+      match cache_load st.s_cache job with
       | Some v ->
         st.s_stats.cache_hits <- st.s_stats.cache_hits + 1;
         k (Done v)
@@ -308,7 +426,7 @@ module Sched = struct
         fill st
 
   let fail st e ~attempt ~timed_out ~detail =
-    record_failure e.e_task;
+    record_failure e.e_job;
     if (not timed_out) && attempt <= st.s_retries && not (entry_cancelled e)
     then begin
       (* crashes are retried with exponential backoff; timeouts are not —
@@ -327,32 +445,52 @@ module Sched = struct
       e.e_k
         (Failed
            {
-             fl_label = e.e_task.label;
+             fl_label = e.e_job.label;
              fl_kind = (if timed_out then Timed_out else Crashed);
              fl_attempts = attempt;
              fl_detail = detail;
            })
     end
 
-  let reap st (child : _ child) =
-    let _, status =
-      restart_on_intr (fun () -> Unix.waitpid [] child.c_pid)
-    in
-    let e = child.c_entry in
-    let payload = Buffer.contents child.c_buf in
+  (* A whole result arrived.  A success frees the worker: the callback
+     fires first, since it may cancel queued work, then the worker takes
+     its next queued request, and only then is the cache entry written,
+     so the worker does not sit idle through the store's fsyncs.  A
+     reported failure retires the worker, so no attempt runs in a process
+     a failed one left behind. *)
+  let complete st w r payload =
+    w.w_running <- None;
+    Buffer.clear w.w_buf;
+    let e = r.r_entry in
     match (Marshal.from_string payload 0 : (_, string) result) with
     | Ok v ->
-      cache_store st.s_cache e.e_task v;
-      e.e_k
-        (if child.c_attempt = 1 then Done v else Retried (v, child.c_attempt - 1))
+      e.e_k (if r.r_attempt = 1 then Done v else Retried (v, r.r_attempt - 1));
+      fill st;
+      cache_store st.s_cache e.e_job v
     | Error msg ->
-      fail st e ~attempt:child.c_attempt ~timed_out:false ~detail:msg
-    | exception _ ->
-      (* the worker died before (or while) writing its result *)
-      fail st e ~attempt:child.c_attempt ~timed_out:false
-        ~detail:
-          (Printf.sprintf "worker %s without reporting a result"
-             (describe_status status))
+      ignore (retire st w);
+      fail st e ~attempt:r.r_attempt ~timed_out:false ~detail:msg
+
+  let on_readable st w =
+    match Unix.read w.w_results st.s_read_buf 0 (Bytes.length st.s_read_buf) with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      ()
+    | got -> (
+      match w.w_running with
+      | None ->
+        (* an idle worker has nothing to say: it is readable because it
+           died *)
+        ignore (retire st w)
+      | Some r when got = 0 ->
+        let status = retire st w in
+        fail st r.r_entry ~attempt:r.r_attempt ~timed_out:false
+          ~detail:
+            (Printf.sprintf "worker %s without reporting a result"
+               (describe_status status))
+      | Some r ->
+        Buffer.add_subbytes w.w_buf st.s_read_buf 0 got;
+        Option.iter (complete st w r) (result_payload w.w_buf))
 
   let kill_expired st =
     match st.s_deadline with
@@ -361,16 +499,16 @@ module Sched = struct
       let now = Unix.gettimeofday () in
       let expired =
         Hashtbl.fold
-          (fun _ c acc -> if now -. c.c_start >= d then c :: acc else acc)
-          st.s_active []
+          (fun _ w acc ->
+            match w.w_running with
+            | Some r when now -. r.r_start >= d -> (w, r) :: acc
+            | _ -> acc)
+          st.s_workers []
       in
       List.iter
-        (fun c ->
-          Hashtbl.remove st.s_active c.c_fd;
-          Unix.close c.c_fd;
-          (try Unix.kill c.c_pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (restart_on_intr (fun () -> Unix.waitpid [] c.c_pid));
-          fail st c.c_entry ~attempt:c.c_attempt ~timed_out:true
+        (fun (w, r) ->
+          ignore (retire st w);
+          fail st r.r_entry ~attempt:r.r_attempt ~timed_out:true
             ~detail:(Printf.sprintf "exceeded %.1fs deadline; killed" d))
         expired
 
@@ -403,34 +541,26 @@ module Sched = struct
     sweep_cancelled st;
     List.iter
       (fun fd ->
-        match Hashtbl.find_opt st.s_active fd with
-        | None -> () (* not one of ours: the caller multiplexes other fds *)
-        | Some child ->
-          let got =
-            restart_on_intr (fun () ->
-                Unix.read fd st.s_read_buf 0 (Bytes.length st.s_read_buf))
-          in
-          if got > 0 then Buffer.add_subbytes child.c_buf st.s_read_buf 0 got
-          else begin
-            (* EOF: the worker exited and the pipe is drained *)
-            Hashtbl.remove st.s_active fd;
-            Unix.close fd;
-            reap st child
-          end)
+        (* fds the scheduler does not own are the caller's *)
+        Option.iter (on_readable st) (Hashtbl.find_opt st.s_workers fd))
       readable;
     kill_expired st;
     fill st
 
-  let fds st = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.s_active []
+  let fds st = Hashtbl.fold (fun fd _ acc -> fd :: acc) st.s_workers []
 
   let timeout st =
-    (* one select timeout serves both child deadlines and retry wake-ups:
-       sleep until the earliest of them, or forever when neither applies *)
+    (* one select timeout serves both attempt deadlines and retry
+       wake-ups: sleep until the earliest of them, or forever when neither
+       applies *)
     let wakeups =
       (match st.s_deadline with
       | None -> []
       | Some d ->
-        Hashtbl.fold (fun _ c acc -> (c.c_start +. d) :: acc) st.s_active [])
+        Hashtbl.fold
+          (fun _ w acc ->
+            match w.w_running with Some r -> (r.r_start +. d) :: acc | None -> acc)
+          st.s_workers [])
       @ List.map (fun (at, _, _) -> at) st.s_delayed
     in
     match wakeups with
@@ -441,7 +571,10 @@ module Sched = struct
 
   let queued st = Queue.length st.s_queue + List.length st.s_delayed
 
-  let active st = Hashtbl.length st.s_active
+  let active st =
+    Hashtbl.fold
+      (fun _ w n -> if w.w_running = None then n else n + 1)
+      st.s_workers 0
 
   let idle st = queued st = 0 && active st = 0
 
@@ -452,6 +585,11 @@ module Sched = struct
       in
       pump st ~readable
     done
+
+  let close st =
+    List.iter
+      (fun w -> ignore (retire st w))
+      (Hashtbl.fold (fun _ w acc -> w :: acc) st.s_workers [])
 end
 
 (* ------------------------------------------------------------------ *)
@@ -460,13 +598,24 @@ end
 (* ------------------------------------------------------------------ *)
 
 let run_par ~jobs ~cache ~stats ~deadline ~retries ~backoff ~cancel tasks =
-  let st = Sched.create ~jobs ?cache ~stats ?deadline ~retries ~backoff () in
-  let n = List.length tasks in
-  let results = Array.make n None in
-  List.iteri
-    (fun i t -> Sched.submit st ?cancel t ~k:(fun o -> results.(i) <- Some o))
-    tasks;
-  Sched.drain st;
+  let tasks = Array.of_list tasks in
+  (* the workers fork after [tasks] exists and inherit it, so a request
+     is a task's index *)
+  let st =
+    Sched.create ~jobs ?cache ~stats ?deadline ~retries ~backoff
+      ~work:(fun i -> tasks.(i).req ())
+      ()
+  in
+  let results = Array.make (Array.length tasks) None in
+  Fun.protect
+    ~finally:(fun () -> Sched.close st)
+    (fun () ->
+      Array.iteri
+        (fun i t ->
+          Sched.submit st ?cancel ?key:t.key ~label:t.label i ~k:(fun o ->
+              results.(i) <- Some o))
+        tasks;
+      Sched.drain st);
   Array.to_list
     (Array.map
        (function

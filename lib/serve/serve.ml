@@ -90,7 +90,7 @@ type client = {
 type t = {
   cfg : config;
   listeners : Unix.file_descr list;
-  sched : Experiments.row Pool.Sched.t;
+  sched : (Protocol.cell_spec, Experiments.row) Pool.Sched.t;
   pool_stats : Pool.stats;
   clients : (int, client) Hashtbl.t;
   flights : (string, flight) Hashtbl.t;
@@ -140,6 +140,26 @@ let install_signal_handlers () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
+(* A spec's engine and target.  Runs at submit time, so a bad job is
+   rejected whole with one error frame, and again inside the pool worker,
+   which rebuilds everything from the spec's plain strings. *)
+let resolve (sp : Protocol.cell_spec) =
+  match Simbench.Engines.of_string sp.sp_arch sp.sp_engine with
+  | Error msg -> Error msg
+  | Ok engine ->
+    Result.map
+      (fun target -> (engine, target))
+      (Experiments.target_of_name sp.sp_bench)
+
+(* The pool workers' work function; raises on an invalid spec or a guest
+   failure, which the pool reports as a [Failed] outcome. *)
+let measure (sp : Protocol.cell_spec) =
+  match resolve sp with
+  | Error msg -> failwith msg
+  | Ok (engine, target) ->
+    Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch ~cell:sp.sp_bench
+      ~repeats:sp.sp_repeats ?iters:sp.sp_iters ~engine target
+
 let create cfg =
   if cfg.unix_path = None && cfg.tcp_port = None then
     invalid_arg "Serve.create: need a unix socket path or a TCP port";
@@ -153,9 +173,11 @@ let create cfg =
   in
   let cache = Option.map (fun dir -> Cache.create ~dir) cfg.cache_dir in
   let pool_stats = Pool.stats () in
+  (* workers fork lazily, at the first cell, so none exist before the
+     listeners answer *)
   let sched =
     Pool.Sched.create ~jobs:cfg.jobs ?cache ~stats:pool_stats
-      ?deadline:cfg.deadline ()
+      ?deadline:cfg.deadline ~work:measure ()
   in
   {
     cfg;
@@ -309,26 +331,6 @@ let on_outcome t key ~live outcome =
 (* Dispatch and backpressure                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A spec's engine and target.  Runs at submit time, so a bad job is
-   rejected whole with one error frame, and again inside the pool worker,
-   which rebuilds everything from the spec's plain strings. *)
-let resolve (sp : Protocol.cell_spec) =
-  match Simbench.Engines.of_string sp.sp_arch sp.sp_engine with
-  | Error msg -> Error msg
-  | Ok engine ->
-    Result.map
-      (fun target -> (engine, target))
-      (Experiments.target_of_name sp.sp_bench)
-
-(* The pool-worker thunk; raises on an invalid spec or a guest failure,
-   which the pool reports as a [Failed] outcome. *)
-let measure (sp : Protocol.cell_spec) =
-  match resolve sp with
-  | Error msg -> failwith msg
-  | Ok (engine, target) ->
-    Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch ~cell:sp.sp_bench
-      ~repeats:sp.sp_repeats ?iters:sp.sp_iters ~engine target
-
 let dispatch_cell t c j sp =
   let key = Protocol.spec_key sp in
   j.j_inflight <- j.j_inflight + 1;
@@ -346,13 +348,11 @@ let dispatch_cell t c j sp =
     | None ->
       let fl = { f_spec = sp; f_token = Pool.token (); f_waiters = [ w ] } in
       Hashtbl.replace t.flights key fl;
-      let task =
-        Pool.task ~key ~label:(Protocol.spec_label sp) (fun () -> measure sp)
-      in
       (* a persistent-cache hit fires the callback inside [submit], before
          [live] flips — that is how cached rows are told apart from runs *)
       let live = ref false in
-      Pool.Sched.submit t.sched ~cancel:fl.f_token task
+      Pool.Sched.submit t.sched ~cancel:fl.f_token ~key
+        ~label:(Protocol.spec_label sp) sp
         ~k:(fun o -> on_outcome t key ~live o);
       live := true)
 
@@ -535,6 +535,7 @@ let say_bye t ~reason =
     t.clients
 
 let close t =
+  Pool.Sched.close t.sched;
   Hashtbl.iter (fun _ c -> close_fd c.cl_fd) t.clients;
   Hashtbl.reset t.clients;
   List.iter close_fd t.listeners;

@@ -20,7 +20,8 @@
     cells are abandoned through their {!Sb_jobs.Pool.token}s (clients get
     ["cancelled"] rows and their [done] frames), running workers complete
     and still populate the cache, then every client gets a [bye] frame and
-    the sockets close.  Healthy workers are never SIGKILLed.
+    the sockets close.  A running attempt is never SIGKILLed; the workers,
+    idle by then, are stopped with the sockets.
 
     The daemon is single-threaded: one [Unix.select] loop multiplexes
     listener sockets, client sockets and worker pipes.  Tests drive the
@@ -29,7 +30,9 @@
 type config = {
   unix_path : string option;  (** Unix-domain listener socket path *)
   tcp_port : int option;  (** loopback TCP listener port *)
-  jobs : int;  (** pool workers *)
+  jobs : int;
+      (** pool workers, forked at the first cells that find none free and
+          kept until {!close} *)
   cache_dir : string option;  (** persistent shared result cache *)
   deadline : float option;  (** per-cell wall-clock budget, seconds *)
   window : int;  (** max in-flight cells per client; 0 = [2 * jobs] *)
@@ -89,5 +92,5 @@ val status_json : t -> Sb_util.Json.t
     cells), which the CI soak gate asserts is positive. *)
 
 val close : t -> unit
-(** Close every socket and unlink the Unix listener path.  [run] calls
-    this itself; stepwise users must. *)
+(** Stop the pool workers, close every socket and unlink the Unix
+    listener path.  [run] calls this itself; stepwise users must. *)

@@ -132,6 +132,112 @@ let test_truncated_payload_reported () =
   | _ -> Alcotest.fail "unexpected outcome shape"
 
 (* ------------------------------------------------------------------ *)
+(* Persistent workers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [pid] runs: it exists and is not a zombie waiting to be reaped. *)
+let alive pid =
+  match
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | stat -> stat.[String.rindex stat ')' + 2] <> 'Z'
+  | exception Sys_error _ -> (
+    try
+      Unix.kill pid 0;
+      true
+    with Unix.Unix_error _ -> false)
+
+let wait_dead pid =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while alive pid && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done
+
+let run_one s req =
+  let got = ref None in
+  Pool.Sched.submit s ~label:"one" req ~k:(fun o -> got := Some o);
+  Pool.Sched.drain s;
+  match !got with
+  | Some (Pool.Done v) -> v
+  | Some (Pool.Failed f) -> Alcotest.fail (Pool.failure_message f)
+  | _ -> Alcotest.fail "no outcome"
+
+let test_idle_worker_holds_no_socket () =
+  (* the worker forks while this process holds one end of a socket pair;
+     once this process closes it, the peer must read end of file although
+     the worker lives on, idle *)
+  let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let s = Pool.Sched.create ~jobs:1 ~work:Unix.getpid () in
+  Fun.protect ~finally:(fun () ->
+      Pool.Sched.close s;
+      Unix.close peer)
+  @@ fun () ->
+  let worker = run_one s () in
+  Unix.close mine;
+  Alcotest.(check bool) "worker alive and idle" true
+    (alive worker && Pool.Sched.idle s);
+  match Unix.select [ peer ] [] [] 5.0 with
+  | [], _, _ -> Alcotest.fail "the peer never read end of file"
+  | _ ->
+    Alcotest.(check int) "the peer reads end of file" 0
+      (Unix.read peer (Bytes.create 1) 0 1)
+
+let test_workers_die_with_scheduler () =
+  (* a child process runs a scheduler with two idle workers and is
+     SIGKILLed: with their request pipes closed, both workers exit *)
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    (try
+       Unix.close r;
+       let s = Pool.Sched.create ~jobs:2 ~work:Unix.getpid () in
+       let pids = ref [] in
+       for _ = 1 to 2 do
+         Pool.Sched.submit s ~label:"pid" () ~k:(function
+           | Pool.Done pid -> pids := string_of_int pid :: !pids
+           | _ -> ())
+       done;
+       Pool.Sched.drain s;
+       let line = String.concat " " !pids ^ "\n" in
+       ignore (Unix.write_substring w line 0 (String.length line));
+       Unix.sleepf 60.0
+     with _ -> ());
+    Unix._exit 0
+  | sched ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let workers =
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+          List.map int_of_string (String.split_on_char ' ' (input_line ic)))
+    in
+    Unix.kill sched Sys.sigkill;
+    ignore (Unix.waitpid [] sched);
+    Alcotest.(check int) "two workers" 2 (List.length workers);
+    List.iter
+      (fun pid ->
+        wait_dead pid;
+        Alcotest.(check bool) (Printf.sprintf "worker %d exited" pid) false
+          (alive pid))
+      workers
+
+let test_idle_worker_death () =
+  (* a worker SIGKILLed while idle fails the next request's write with
+     EPIPE.  That must not kill this process, which does not ignore
+     SIGPIPE, nor count as an attempt: a fresh worker runs the request *)
+  let stats = Pool.stats () in
+  let s = Pool.Sched.create ~jobs:1 ~stats ~retries:0 ~work:Unix.getpid () in
+  Fun.protect ~finally:(fun () -> Pool.Sched.close s) @@ fun () ->
+  let first = run_one s () in
+  Unix.kill first Sys.sigkill;
+  wait_dead first;
+  let second = run_one s () in
+  Alcotest.(check bool) "a fresh worker ran it" true (second <> first);
+  Alcotest.(check int) "two attempts" 2 stats.Pool.executed;
+  Alcotest.(check int) "a replacement forked" 2 stats.Pool.forked;
+  Alcotest.(check int) "nothing failed" 0 stats.Pool.failed
+
+(* ------------------------------------------------------------------ *)
 (* Deadlines, retries, quarantine                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -253,7 +359,8 @@ let test_cache_hit_without_fork () =
   | [ Pool.Done 100; Pool.Done 101; Pool.Done 102 ] -> ()
   | _ -> Alcotest.fail "cold run wrong");
   Alcotest.(check int) "cold: all executed" 3 cold.Pool.executed;
-  Alcotest.(check int) "cold: all forked" 3 cold.Pool.forked;
+  (* three tasks on two persistent workers *)
+  Alcotest.(check int) "cold: all forked" 2 cold.Pool.forked;
   Alcotest.(check int) "cold: no hits" 0 cold.Pool.cache_hits;
   let warm = Pool.stats () in
   (match Pool.run ~jobs:2 ~cache ~stats:warm (tasks ()) with
@@ -421,13 +528,27 @@ let test_fingerprint_moves_with_knobs () =
 (* ------------------------------------------------------------------ *)
 
 let test_pool_matches_sequential () =
+  (* three columns on two workers: one worker measures two of them, so a
+     warm worker is held to the counters of the sequential path *)
   let config = Experiments.quick_config in
-  let arch = Sb_isa.Arch_sig.Sba in
+  let columns =
+    [
+      (Sb_isa.Arch_sig.Sba, Sb_dbt.Config.baseline);
+      (Sb_isa.Arch_sig.Vlx, Sb_dbt.Config.baseline);
+      (Sb_isa.Arch_sig.Sba, Option.get (Sb_dbt.Version.find "v2.6.0"));
+    ]
+  in
   let rows ~jobs =
     Experiments.reset_memo ();
-    Experiments.cell_rows
-      ~opts:{ Experiments.jobs; cache_dir = None; deadline = None; retries = 0 }
-      ~config ~arch ~kind:`Suite Sb_dbt.Config.baseline
+    let opts =
+      { Experiments.jobs; cache_dir = None; deadline = None; retries = 0 }
+    in
+    Experiments.prefetch ~opts ~config
+      (List.map (fun (arch, dbt) -> (arch, `Suite, dbt)) columns);
+    List.concat_map
+      (fun (arch, dbt) ->
+        Experiments.cell_rows ~opts ~config ~arch ~kind:`Suite dbt)
+      columns
   in
   let seq = rows ~jobs:1 in
   let par = rows ~jobs:2 in
@@ -438,10 +559,15 @@ let test_pool_matches_sequential () =
       Alcotest.(check string) "same engine" s.Experiments.row_engine p.Experiments.row_engine;
       Alcotest.(check string) "same arch" s.Experiments.row_arch p.Experiments.row_arch;
       Alcotest.(check int) "same iters" s.Experiments.row_iters p.Experiments.row_iters;
-      (* instruction counts are deterministic across processes; wall times
-         are not, so the times are only sanity-checked *)
+      Alcotest.(check string) "status ok" "ok" p.Experiments.row_status;
+      (* instruction and event counts are deterministic across processes;
+         wall times are not, so the times are only sanity-checked *)
       Alcotest.(check int) "same kernel insns" s.Experiments.row_kernel_insns
         p.Experiments.row_kernel_insns;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "same kernel_perf (%s, %s)" p.Experiments.row_cell
+           p.Experiments.row_arch)
+        s.Experiments.row_perf p.Experiments.row_perf;
       Alcotest.(check bool) "positive time" true (p.Experiments.row_seconds > 0.))
     seq par
 
@@ -516,12 +642,12 @@ let test_sched_external_select_loop () =
   (* the serve daemon's usage: callers own the select loop and feed
      readable fds to pump *)
   let stats = Pool.stats () in
-  let s = Pool.Sched.create ~jobs:2 ~stats () in
+  let s = Pool.Sched.create ~jobs:2 ~stats ~work:(fun i -> i * 3) () in
+  Fun.protect ~finally:(fun () -> Pool.Sched.close s) @@ fun () ->
   let got = Array.make 5 None in
   for i = 0 to 4 do
-    Pool.Sched.submit s
-      (Pool.task ~label:(Printf.sprintf "mul%d" i) (fun () -> i * 3))
-      ~k:(fun o -> got.(i) <- Some o)
+    Pool.Sched.submit s ~label:(Printf.sprintf "mul%d" i) i ~k:(fun o ->
+        got.(i) <- Some o)
   done;
   let deadline = Unix.gettimeofday () +. 60.0 in
   while (not (Pool.Sched.idle s)) && Unix.gettimeofday () < deadline do
@@ -540,25 +666,28 @@ let test_sched_external_select_loop () =
       | Some (Pool.Done v) -> Alcotest.(check int) "positional result" (i * 3) v
       | _ -> Alcotest.fail "missing or failed outcome")
     got;
-  Alcotest.(check int) "five attempts run" 5 stats.Pool.executed
+  Alcotest.(check int) "five attempts run" 5 stats.Pool.executed;
+  Alcotest.(check int) "on two workers" 2 stats.Pool.forked
 
 let test_sched_cancel_drops_queued_only () =
   (* cancelling from a completion callback must drop queued work without
      SIGKILLing the worker that is already running *)
   let stats = Pool.stats () in
-  let s = Pool.Sched.create ~jobs:1 ~stats () in
+  let s =
+    Pool.Sched.create ~jobs:1 ~stats
+      ~work:(fun pause ->
+        Unix.sleepf pause;
+        "ran")
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Pool.Sched.close s) @@ fun () ->
   let tok = Pool.token () in
   let outcomes = Array.make 4 None in
-  Pool.Sched.submit s
-    (Pool.task ~label:"runner" (fun () ->
-         Unix.sleepf 0.05;
-         "ran"))
-    ~k:(fun o ->
+  Pool.Sched.submit s ~label:"runner" 0.05 ~k:(fun o ->
       Pool.cancel tok;
       outcomes.(0) <- Some o);
   for i = 1 to 3 do
-    Pool.Sched.submit s ~cancel:tok
-      (Pool.task ~label:(Printf.sprintf "queued%d" i) (fun () -> "ran"))
+    Pool.Sched.submit s ~cancel:tok ~label:(Printf.sprintf "queued%d" i) 0.0
       ~k:(fun o -> outcomes.(i) <- Some o)
   done;
   Pool.Sched.drain s;
@@ -587,6 +716,15 @@ let () =
           Alcotest.test_case "dead worker" `Quick test_dead_worker_reported;
           Alcotest.test_case "sigkilled worker" `Quick test_sigkilled_worker_reported;
           Alcotest.test_case "truncated payload" `Quick test_truncated_payload_reported;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "idle worker holds no socket" `Quick
+            test_idle_worker_holds_no_socket;
+          Alcotest.test_case "workers die with the scheduler" `Quick
+            test_workers_die_with_scheduler;
+          Alcotest.test_case "idle worker death is no attempt" `Quick
+            test_idle_worker_death;
         ] );
       ( "resilience",
         [

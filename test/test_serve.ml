@@ -596,6 +596,74 @@ let test_persistent_cache_across_servers () =
           Alcotest.(check bool) "rows marked cached" true cached)
         (rows_of tc "p2"))
 
+(* One worker measures every cell of a job in turn, keeping its guest RAM
+   and engine tables from one cell to the next: interp, dbt, virt, native
+   and detailed on both ISAs, each engine twice.  Every row must count
+   exactly what the same cell counts measured on its own in this
+   process. *)
+let test_warm_worker_counters () =
+  let cells =
+    List.concat_map
+      (fun arch ->
+        List.map
+          (fun (engine, bench) -> spec ~bench ~engine ~arch ~iters:60 ())
+          [
+            ("interp", "Small Blocks");
+            ("dbt", "Cold Memory Access");
+            ("virt", "System Call");
+            ("native", "TLB Flush");
+            ("detailed", "Inter-Page Indirect");
+            ("dbt", "Small Blocks");
+            ("virt", "Data Access Fault");
+            ("interp", "TLB Eviction");
+            ("native", "Memory Mapped Device");
+            ("detailed", "Hot Memory Access");
+          ])
+      [ Sb_isa.Arch_sig.Sba; Sb_isa.Arch_sig.Vlx ]
+  in
+  let served =
+    with_server ~jobs:1 (fun server path ->
+        let tc = tconnect server path in
+        Fun.protect ~finally:(fun () -> tclose tc) @@ fun () ->
+        tsend tc (submit "warm" cells);
+        wait_for server tc (is_done "warm") "job warm done";
+        let st = Serve.status_json server in
+        Alcotest.(check (option int))
+          "one worker ran them all" (Some 1)
+          (Option.bind (Json.member "pool" st) (fun p ->
+               Option.bind (Json.member "forked" p) Json.int_opt));
+        List.filter_map
+          (function
+            | Protocol.Row { id = "warm"; key; cell; _ } -> Some (key, cell)
+            | _ -> None)
+          tc.frames)
+  in
+  Alcotest.(check int) "one row per cell" (List.length cells) (List.length served);
+  List.iter
+    (fun (sp : Protocol.cell_spec) ->
+      let label = Protocol.spec_label sp in
+      let row =
+        match List.assoc_opt (Protocol.spec_key sp) served with
+        | None -> Alcotest.fail (label ^ ": no row")
+        | Some cell -> (
+          match Protocol.row_of_json cell with
+          | Ok r -> r
+          | Error msg -> Alcotest.fail msg)
+      in
+      let cold =
+        Sb_report.Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch
+          ~cell:sp.sp_bench ~repeats:1 ?iters:sp.sp_iters
+          ~engine:
+            (Result.get_ok (Simbench.Engines.of_string sp.sp_arch sp.sp_engine))
+          (Result.get_ok (Sb_report.Experiments.target_of_name sp.sp_bench))
+      in
+      Alcotest.(check string) (label ^ " status") "ok" row.row_status;
+      Alcotest.(check int) (label ^ " kernel_insns") cold.row_kernel_insns
+        row.row_kernel_insns;
+      Alcotest.(check (list (pair string int)))
+        (label ^ " kernel_perf") cold.row_perf row.row_perf)
+    cells
+
 (* ------------------------------------------------------------------ *)
 (* Protocol 2: sessions, heartbeats, resume                             *)
 (* ------------------------------------------------------------------ *)
@@ -1050,6 +1118,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "persistent cache across servers" `Quick
             test_persistent_cache_across_servers;
+          Alcotest.test_case "warm worker counters" `Quick
+            test_warm_worker_counters;
           Alcotest.test_case "one cell on every path" `Quick
             test_one_cell_every_path;
         ] );
