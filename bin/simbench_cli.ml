@@ -1399,16 +1399,9 @@ let load_run path =
       in
       Sb_serve.Client.close conn;
       Result.bind r (fun (_source, cells) ->
-          List.fold_left
-            (fun acc c ->
-              Result.bind acc (fun acc ->
-                  Result.map
-                    (fun cell -> cell :: acc)
-                    (Sb_regress.Baseline.cell_of_json ~source:path
-                       ~experiment:"serve" c)))
-            (Ok []) cells
-          |> Result.map (fun cells ->
-                 { Sb_regress.Regress.source = path; cells = List.rev cells }))
+          Sb_regress.Baseline.cells_of_list ~source:path ~experiment:"serve"
+            cells
+          |> Result.map (fun cells -> { Sb_regress.Regress.source = path; cells }))
   else Sb_regress.Baseline.load path
 
 let baseline_cmd =

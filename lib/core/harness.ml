@@ -88,24 +88,14 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
           ~point program
       in
       let snap =
-        match Option.bind checkpoints (fun store -> Checkpoint.load store ~key) with
-        | Some snap ->
-          (* validated when it entered the store's memo *)
-          Sb_sim.Snapshot.restore ~validated:true snap machine;
-          snap
-        | None -> (
-          try
-            let snap = Checkpoint.run_to_point ~setup_engine ~point machine in
-            Option.iter
-              (fun store -> Checkpoint.save store ~key snap)
-              checkpoints;
-            Sb_sim.Snapshot.restore ~validated:true snap machine;
-            snap
-          with
-          | Checkpoint.Fast_forward_failed msg ->
-            fail "%s on %s: %s" bench.Bench.name S.name msg
-          | Sb_sim.Snapshot.Corrupt msg ->
-            fail "%s on %s: corrupt checkpoint: %s" bench.Bench.name S.name msg)
+        try
+          Checkpoint.fast_forward ?store:checkpoints ~setup_engine ~point ~key
+            machine
+        with
+        | Checkpoint.Fast_forward_failed msg ->
+          fail "%s on %s: %s" bench.Bench.name S.name msg
+        | Sb_sim.Snapshot.Corrupt msg ->
+          fail "%s on %s: corrupt checkpoint: %s" bench.Bench.name S.name msg
       in
       Sb_sim.Snapshot.insns_into_kernel snap
   in

@@ -1,14 +1,15 @@
 (** [Unix.fork]-based worker pool for independent experiment cells, with
     deadlines, bounded retries, failure quarantine and cancellation.
 
-    Each task is an (optionally cache-keyed) thunk.  With [jobs <= 1] and
-    no deadline the thunks run sequentially in-process — byte-for-byte the
-    pre-pool code path, including exception propagation order.  Otherwise
-    up to [jobs] persistent workers are forked at the first dispatch that
-    finds none free, and each runs one uncached attempt after another:
-    the parent writes it a request over a pipe and the worker marshals
-    back its result (or the exception message).  Results come back in
-    task order regardless of completion order.
+    Each task is an (optionally cache-keyed) thunk.  Without a deadline,
+    and with [jobs <= 1] or a single task, the thunks run sequentially
+    in the caller's process.  Otherwise up to [jobs] persistent workers
+    are forked at the first dispatch that finds none free, and each runs
+    one uncached attempt after another: the parent writes it a request
+    over a pipe and the worker marshals back its result (or the exception
+    message).  Results come back in task order regardless of completion
+    order.  A thunk that raises is [Failed] on both paths; the exception
+    never reaches the caller.
 
     A worker outlives its cells, and with them whatever its process keeps
     between runs (the harness's pooled guest RAM, the engines' recycled

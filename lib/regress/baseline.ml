@@ -23,24 +23,9 @@ let field ~source obj name decode =
 (* ------------------------------------------------------------------ *)
 
 let json_of_cell (c : Regress.cell) =
-  Json.Obj
-    [
-      ("experiment", Json.String c.Regress.experiment);
-      ("cell", Json.String c.Regress.cell);
-      ("engine", Json.String c.Regress.engine);
-      ("arch", Json.String c.Regress.arch);
-      ("iters", Json.Int c.Regress.iters);
-      ("repeats", Json.Int c.Regress.repeats);
-      ("seconds", Json.Float c.Regress.seconds);
-      ("mean_seconds", Json.Float c.Regress.mean_seconds);
-      ( "samples",
-        Json.List (List.map (fun s -> Json.Float s) c.Regress.samples) );
-      ("kernel_insns", Json.Int c.Regress.kernel_insns);
-      ( "kernel_perf",
-        Json.Obj
-          (List.map (fun (name, n) -> (name, Json.Int n)) c.Regress.perf) );
-      ("status", Json.String c.Regress.status);
-    ]
+  match Sb_report.Experiments.row_to_json c.Regress.row with
+  | Json.Obj fields -> Json.Obj (("experiment", Json.String c.Regress.experiment) :: fields)
+  | j -> j
 
 let cell_of_json ~source ~experiment j =
   let str name = Option.bind (Json.member name j) Json.string_opt in
@@ -52,32 +37,25 @@ let cell_of_json ~source ~experiment j =
       | None -> source
     in
     error_in ~source msg
-  | Ok r ->
+  | Ok row ->
     Ok
       {
         Regress.experiment = Option.value (str "experiment") ~default:experiment;
-        engine = r.row_engine;
-        arch = r.row_arch;
-        cell = r.row_cell;
-        iters = r.row_iters;
-        repeats = r.row_repeats;
-        seconds = r.row_seconds;
-        mean_seconds = r.row_mean_seconds;
-        samples = r.row_samples;
-        kernel_insns = r.row_kernel_insns;
-        perf = r.row_perf;
-        status = r.row_status;
+        row;
       }
 
-let cells_of_json ~source ~experiment j =
-  let* cells_json = field ~source j "cells" Json.list_opt in
+let cells_of_list ~source ~experiment cells =
   List.fold_left
     (fun acc c ->
       let* acc = acc in
       let* cell = cell_of_json ~source ~experiment c in
       Ok (cell :: acc))
-    (Ok []) cells_json
+    (Ok []) cells
   |> Result.map List.rev
+
+let cells_of_json ~source ~experiment j =
+  let* cells_json = field ~source j "cells" Json.list_opt in
+  cells_of_list ~source ~experiment cells_json
 
 (* ------------------------------------------------------------------ *)
 (* File formats                                                         *)
@@ -205,7 +183,9 @@ let filter_engine run engine =
   {
     run with
     Regress.cells =
-      List.filter (fun c -> c.Regress.engine = engine) run.Regress.cells;
+      List.filter
+        (fun (c : Regress.cell) -> c.row.row_engine = engine)
+        run.Regress.cells;
   }
 
 (* ------------------------------------------------------------------ *)

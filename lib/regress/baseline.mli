@@ -20,6 +20,7 @@ val snapshot_schema : string
 (** ["simbench-baseline-1"] — merged baseline snapshots. *)
 
 val json_of_cell : Regress.cell -> Sb_util.Json.t
+(** [experiment], then the {!Sb_report.Experiments.row_to_json} fields. *)
 
 val cell_of_json :
   source:string ->
@@ -30,6 +31,13 @@ val cell_of_json :
     adds the experiment: [experiment] is the default when the cell object
     carries none (bench files record it once at top level).  Errors name
     [source] and the cell. *)
+
+val cells_of_list :
+  source:string ->
+  experiment:string ->
+  Sb_util.Json.t list ->
+  (Regress.cell list, string) result
+(** {!cell_of_json} of each cell object, in order; the first error wins. *)
 
 val bench_json :
   ?run:Sb_report.Experiments.run_opts * Sb_report.Experiments.config ->

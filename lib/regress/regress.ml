@@ -2,20 +2,7 @@ module Json = Sb_util.Json
 module Stats = Sb_util.Stats
 module Tablefmt = Sb_util.Tablefmt
 
-type cell = {
-  experiment : string;
-  engine : string;
-  arch : string;
-  cell : string;
-  iters : int;
-  repeats : int;
-  seconds : float;
-  mean_seconds : float;
-  samples : float list;
-  kernel_insns : int;
-  perf : (string * int) list;
-  status : string;
-}
+type cell = { experiment : string; row : Sb_report.Experiments.row }
 
 (* "retried n" cells carry real measurements — the flakiness was upstream
    of the numbers — so they compare like "ok"; terminal failures
@@ -48,11 +35,10 @@ type comparison = {
 }
 
 let classify ~threshold ~old_cell ~new_cell =
-  let delta =
-    Stats.relative_change ~baseline:old_cell.seconds new_cell.seconds
-  in
-  let ci_old = Stats.ci95 old_cell.samples in
-  let ci_new = Stats.ci95 new_cell.samples in
+  let o = old_cell.row and n = new_cell.row in
+  let delta = Stats.relative_change ~baseline:o.row_seconds n.row_seconds in
+  let ci_old = Stats.ci95 o.row_samples in
+  let ci_new = Stats.ci95 n.row_samples in
   let verdict, note =
     if Float.abs delta < threshold then (Unchanged, Below_threshold)
     else if Stats.intervals_overlap ci_old ci_new then (Unchanged, Within_noise)
@@ -67,7 +53,7 @@ let classify ~threshold ~old_cell ~new_cell =
     c_ci_new = ci_new;
     c_verdict = verdict;
     c_note = note;
-    c_insns_changed = old_cell.kernel_insns <> new_cell.kernel_insns;
+    c_insns_changed = o.row_kernel_insns <> n.row_kernel_insns;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -87,6 +73,9 @@ type report = {
   r_skipped_samples : (cell * cell) list;
 }
 
+let pair_key ~with_engine { row = r; _ } =
+  ((if with_engine then r.row_engine else ""), r.row_arch, r.row_cell)
+
 (* cells are recorded per experiment but the sweep memoization means the
    same (engine, arch, cell) triple shows up with identical numbers in
    every experiment that shares it — keep the first occurrence *)
@@ -94,7 +83,7 @@ let dedup ~with_engine cells =
   let seen = Hashtbl.create 64 in
   List.filter
     (fun c ->
-      let k = ((if with_engine then c.engine else ""), c.arch, c.cell) in
+      let k = pair_key ~with_engine c in
       if Hashtbl.mem seen k then false
       else begin
         Hashtbl.add seen k ();
@@ -102,10 +91,11 @@ let dedup ~with_engine cells =
       end)
     cells
 
-let engines_of cells = List.sort_uniq compare (List.map (fun c -> c.engine) cells)
+let engines_of cells =
+  List.sort_uniq compare (List.map (fun c -> c.row.row_engine) cells)
 
 let pair_runs ~with_engine old_cells new_cells =
-  let key c = ((if with_engine then c.engine else ""), c.arch, c.cell) in
+  let key = pair_key ~with_engine in
   let old_cells = dedup ~with_engine old_cells in
   let new_cells = dedup ~with_engine new_cells in
   let new_tbl = Hashtbl.create 64 in
@@ -153,16 +143,17 @@ let compare_runs ?(threshold = default_threshold) ?(ignore_engine = false)
      iters = 0, which would otherwise mislabel the pair as mismatched) *)
   let skipped_status, rest =
     List.partition
-      (fun (o, n) -> not (ok_status o.status && ok_status n.status))
+      (fun (o, n) ->
+        not (ok_status o.row.row_status && ok_status n.row.row_status))
       pairs
   in
   let rest, mismatched =
-    List.partition (fun (o, n) -> o.iters = n.iters) rest
+    List.partition (fun (o, n) -> o.row.row_iters = n.row.row_iters) rest
   in
   (* a 0- or 1-sample vector has no spread: ci95 degenerates to a point
      (or nan), and "significance" would be decided by raw threshold alone.
      Classify such pairs as skipped rather than pretending to a verdict. *)
-  let enough c = List.length c.samples >= 2 in
+  let enough c = List.length c.row.row_samples >= 2 in
   let comparable, skipped_samples =
     List.partition (fun (o, n) -> enough o && enough n) rest
   in
@@ -208,15 +199,15 @@ type counter_report = {
 
 (* what differs between two cells' deterministic fields; a counter absent
    on one side reads 0, as the row encoder omits zero counters *)
-let counter_differences o n =
+let counter_differences { row = o; _ } { row = n; _ } =
   let field name a b = if a = b then [] else [ Printf.sprintf "%s %d -> %d" name a b ] in
   let get perf name = Option.value (List.assoc_opt name perf) ~default:0 in
-  let names = List.sort_uniq compare (List.map fst o.perf @ List.map fst n.perf) in
-  (if ok_status o.status && ok_status n.status then []
-   else [ Printf.sprintf "status %s -> %s" o.status n.status ])
-  @ field "iters" o.iters n.iters
-  @ field "kernel_insns" o.kernel_insns n.kernel_insns
-  @ List.concat_map (fun name -> field name (get o.perf name) (get n.perf name)) names
+  let names = List.sort_uniq compare (List.map fst o.row_perf @ List.map fst n.row_perf) in
+  (if ok_status o.row_status && ok_status n.row_status then []
+   else [ Printf.sprintf "status %s -> %s" o.row_status n.row_status ])
+  @ field "iters" o.row_iters n.row_iters
+  @ field "kernel_insns" o.row_kernel_insns n.row_kernel_insns
+  @ List.concat_map (fun name -> field name (get o.row_perf name) (get n.row_perf name)) names
 
 let compare_counters ?(ignore_engine = false) ~old_run ~new_run () =
   let pairs, only_old, only_new =
@@ -243,7 +234,9 @@ let counters_exit_code k =
 let render_counters k =
   let buf = Buffer.create 1024 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let name c = Printf.sprintf "%s/%s/%s" c.cell c.arch c.engine in
+  let name { row = r; _ } =
+    Printf.sprintf "%s/%s/%s" r.row_cell r.row_arch r.row_engine
+  in
   out "Counters OLD=%s vs NEW=%s: %d paired cells, %d equal\n" k.k_old_source
     k.k_new_source
     (k.k_equal + List.length k.k_differ)
@@ -305,7 +298,7 @@ let attribution report =
   let order = ref [] in
   List.iter
     (fun c ->
-      let cat = category_of_cell c.c_old.cell in
+      let cat = category_of_cell c.c_old.row.row_cell in
       match Hashtbl.find_opt tbl cat with
       | Some l -> l := c :: !l
       | None ->
@@ -323,7 +316,9 @@ let attribution report =
         cat_improved = count Improved;
         cat_geomean_ratio =
           Stats.geomean
-            (List.map (fun c -> c.c_new.seconds /. c.c_old.seconds) cs);
+            (List.map
+               (fun c -> c.c_new.row.row_seconds /. c.c_old.row.row_seconds)
+               cs);
       })
     !order
 
@@ -353,14 +348,15 @@ let verdict_cell c =
     | _ -> "unchanged")
 
 let cell_row c =
+  let o = c.c_old.row and n = c.c_new.row in
   [
-    c.c_old.cell;
-    c.c_old.arch;
-    (match c.c_old.engine = c.c_new.engine with
-    | true -> c.c_old.engine
-    | false -> c.c_old.engine ^ " -> " ^ c.c_new.engine);
-    Printf.sprintf "%.4f" c.c_old.seconds;
-    Printf.sprintf "%.4f" c.c_new.seconds;
+    o.row_cell;
+    o.row_arch;
+    (match o.row_engine = n.row_engine with
+    | true -> o.row_engine
+    | false -> o.row_engine ^ " -> " ^ n.row_engine);
+    Printf.sprintf "%.4f" o.row_seconds;
+    Printf.sprintf "%.4f" n.row_seconds;
     pct c.c_delta;
     verdict_cell c ^ (if c.c_insns_changed then " !insns" else "");
   ]
@@ -422,9 +418,9 @@ let render ?(all_cells = false) report =
   if report.r_skipped_status <> [] then begin
     out "\nSkipped cells (failure status, not compared):\n";
     List.iter
-      (fun (o, n) ->
-        out "  %s/%s/%s: old %s, new %s\n" o.cell o.arch o.engine o.status
-          n.status)
+      (fun ({ row = o; _ }, { row = n; _ }) ->
+        out "  %s/%s/%s: old %s, new %s\n" o.row_cell o.row_arch o.row_engine
+          o.row_status n.row_status)
       report.r_skipped_status
   end;
   let n v = List.length (List.filter (fun c -> c.c_verdict = v) report.r_pairs) in
@@ -452,21 +448,22 @@ let render ?(all_cells = false) report =
 
 let json_of_comparison c =
   let interval (lo, hi) = Json.List [ Json.Float lo; Json.Float hi ] in
+  let o = c.c_old.row and n = c.c_new.row in
   Json.Obj
     [
-      ("cell", Json.String c.c_old.cell);
-      ("arch", Json.String c.c_old.arch);
-      ("old_engine", Json.String c.c_old.engine);
-      ("new_engine", Json.String c.c_new.engine);
-      ("old_seconds", Json.Float c.c_old.seconds);
-      ("new_seconds", Json.Float c.c_new.seconds);
+      ("cell", Json.String o.row_cell);
+      ("arch", Json.String o.row_arch);
+      ("old_engine", Json.String o.row_engine);
+      ("new_engine", Json.String n.row_engine);
+      ("old_seconds", Json.Float o.row_seconds);
+      ("new_seconds", Json.Float n.row_seconds);
       ("delta", Json.Float c.c_delta);
       ("ci_old", interval c.c_ci_old);
       ("ci_new", interval c.c_ci_new);
       ("verdict", Json.String (verdict_name c.c_verdict));
       ("note", Json.String (note_name c.c_note));
       ("insns_changed", Json.Bool c.c_insns_changed);
-      ("category", Json.String (category_of_cell c.c_old.cell));
+      ("category", Json.String (category_of_cell o.row_cell));
     ]
 
 let to_json report =
@@ -491,14 +488,14 @@ let to_json report =
       ( "skipped",
         Json.List
           (List.map
-             (fun (o, n) ->
+             (fun ({ row = o; _ }, { row = n; _ }) ->
                Json.Obj
                  [
-                   ("cell", Json.String o.cell);
-                   ("arch", Json.String o.arch);
-                   ("engine", Json.String o.engine);
-                   ("old_status", Json.String o.status);
-                   ("new_status", Json.String n.status);
+                   ("cell", Json.String o.row_cell);
+                   ("arch", Json.String o.row_arch);
+                   ("engine", Json.String o.row_engine);
+                   ("old_status", Json.String o.row_status);
+                   ("new_status", Json.String n.row_status);
                  ])
              report.r_skipped_status) );
       ( "categories",

@@ -22,25 +22,11 @@
     records a harness failure ("failed"/"timeout"/"quarantined") are
     likewise skipped with a note instead of compared. *)
 
-(** One serialized measurement cell: {!Sb_report.Experiments.row} plus its
-    experiment of origin, as read back from [--json] output. *)
-type cell = {
-  experiment : string;
-  engine : string;
-  arch : string;
-  cell : string;
-  iters : int;
-  repeats : int;
-  seconds : float;  (** reported time: minimum across repeats *)
-  mean_seconds : float;
-  samples : float list;  (** raw per-repeat kernel seconds, run order *)
-  kernel_insns : int;
-  perf : (string * int) list;
-  status : string;
-      (** ["ok"], ["retried <n>"] (compared normally), or a terminal
-          harness failure (["failed"]/["timeout"]/["quarantined"]:
-          skipped). *)
-}
+(** One serialized measurement cell: its row, as read back from [--json]
+    output, and its experiment of origin.  A row whose [row_status] is
+    ["ok"] or ["retried <n>"] is compared normally; a terminal harness
+    failure (["failed"]/["timeout"]/["quarantined"]) is skipped. *)
+type cell = { experiment : string; row : Sb_report.Experiments.row }
 
 type run = { source : string; cells : cell list }
 

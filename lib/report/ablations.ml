@@ -1,5 +1,4 @@
 module Tablefmt = Sb_util.Tablefmt
-module Pool = Sb_jobs.Pool
 
 let arch = Sb_isa.Arch_sig.Sba
 
@@ -11,47 +10,38 @@ type spec = {
   variants : (string * (unit -> Sb_sim.Engine.t)) list;
 }
 
-(* One table: rows = benchmarks, columns = engine variants.  Each variant
-   column is one pool task; the engine variants are closures, so the
-   columns run in forked workers but are never disk-cached. *)
-let sweep ?(opts = Experiments.sequential) ~(config : Experiments.config) spec =
-  let engine_label label = spec.name ^ ":" ^ label in
+(* One table: rows = benchmarks, columns = engine variants.  The variants
+   are closures, so their columns carry no key: they run every time and
+   are never cached, and always cold. *)
+let sweep ?opts ~(config : Experiments.config) spec =
   (* floor the iteration count: several benchmarks have small Figure 3
      defaults and a handful of iterations is all noise *)
-  let iters b =
-    match spec.iters with
-    | Some n -> n
-    | None -> max 1_000 (b.Simbench.Bench.default_iters / config.scale)
-  in
-  let tasks =
+  let cells =
     List.map
-      (fun (label, make) ->
-        Pool.task ~label:(engine_label label) (fun () ->
-            let engine = make () in
-            List.map
-              (fun b ->
-                Experiments.measure ~label:(engine_label label) ~arch
-                  ~cell:b.Simbench.Bench.name ~repeats:config.repeats
-                  ~iters:(iters b) ~engine (Experiments.Bench b))
-              spec.benches))
-      spec.variants
-  in
-  let results =
-    Pool.run ~jobs:opts.Experiments.jobs ?deadline:opts.Experiments.deadline
-      ~retries:opts.Experiments.retries tasks
+      (fun b ->
+        {
+          Experiments.name = b.Simbench.Bench.name;
+          target = Experiments.Bench b;
+          iters =
+            Some
+              (match spec.iters with
+              | Some n -> n
+              | None -> max 1_000 (b.Simbench.Bench.default_iters / config.scale));
+        })
+      spec.benches
   in
   let columns =
-    List.map2
-      (fun (label, _) outcome ->
-        (* a lost column becomes failure rows and renders as gaps *)
-        let rows =
-          Experiments.rows_of_outcome ~arch ~label:(engine_label label)
-            ~cells:(List.map (fun b -> b.Simbench.Bench.name) spec.benches)
-            outcome
-        in
-        Experiments.record rows;
-        rows)
-      spec.variants results
+    Experiments.columns ?opts ~config:{ config with switch_at = None }
+      (List.map
+         (fun (label, engine) ->
+           {
+             Experiments.label = spec.name ^ ":" ^ label;
+             arch;
+             engine;
+             cells;
+             key = None;
+           })
+         spec.variants)
   in
   let seconds (r : Experiments.row) =
     if Float.is_nan r.row_seconds then "-"

@@ -20,16 +20,17 @@ type spec = {
 
 val sweep :
   ?opts:Experiments.run_opts -> config:Experiments.config -> spec -> string
-(** Measure every bench under every variant on the SBA guest with
-    {!Experiments.measure} (the config's [repeats]; [scale] only through
-    the default iteration count) and render the table of kernel seconds.
-    Each variant column is one {!Sb_jobs.Pool} task run with [opts]
-    (default {!Experiments.sequential}); the engines are closures, so
-    ablation cells are forked but never disk-cached.  Every row goes to
-    {!Experiments.record} with the engine label [<name>:<column>] (for
-    example ["abl-traces:thr=4"]), so [--json] output and the regression
-    gates see it; a lost column records failure rows and renders as
-    ["-"]. *)
+(** Measure every bench under every variant on the SBA guest and render
+    the table of kernel seconds.  Each variant is one unkeyed
+    {!Experiments.column} passed to {!Experiments.columns} with [opts]
+    (default {!Experiments.sequential}) and the config's [repeats] ([scale]
+    counts only through the default iteration count).  The engines are
+    closures, so the columns run every time, are never memoized or
+    disk-cached, and always run cold: the config's [switch_at] is
+    ignored.  Every row goes to {!Experiments.record} with the engine
+    label [<name>:<column>] (for example ["abl-traces:thr=4"]), so
+    [--json] output and the regression gates see it; a lost column
+    records failure rows and renders as ["-"]. *)
 
 val all : spec list
 (** The seven studies, in report order: [abl-chain] (DBT block

@@ -67,29 +67,6 @@ type row = {
   row_note : string;  (** failure detail; empty when ok *)
 }
 
-type cell_kind = [ `Suite | `Workloads of int ]
-
-type key = {
-  k_arch : Sb_isa.Arch_sig.arch_id;
-  k_dbt : Sb_dbt.Config.t;
-  k_scale : int;
-  k_repeats : int;
-  k_kind : cell_kind;
-  k_switch : string;  (** {!switch_name}: cold and fast-forwarded cells
-                          are distinct measurements *)
-}
-
-let memo : (key, row list) Hashtbl.t = Hashtbl.create 64
-
-(* the projected (name, seconds) lists are memoized too, so repeat calls
-   return the physically same list (tests rely on [==] to prove no
-   re-measurement happened) *)
-let times_memo : (key, (string * float) list) Hashtbl.t = Hashtbl.create 64
-
-let reset_memo () =
-  Hashtbl.reset memo;
-  Hashtbl.reset times_memo
-
 (* every measured cell of the current process, for --json output; keyed to
    dedup re-reads of memoized cells *)
 let records : (string, row) Hashtbl.t = Hashtbl.create 256
@@ -279,151 +256,162 @@ let checkpoint_store ~config ~ckpt_dir =
   | Some _, Some dir -> Some (Simbench.Checkpoint.open_store ~dir)
   | _ -> None
 
-let bench_targets benches =
-  List.map (fun b -> (b.Simbench.Bench.name, Bench b)) benches
+(* ------------------------------------------------------------------ *)
+(* Columns: every figure, version sweep and ablation measures here      *)
+(* ------------------------------------------------------------------ *)
 
-let kind_targets = function
-  | `Suite -> bench_targets Simbench.Suite.all
-  | `Workloads _ ->
-    List.map
-      (fun w -> (w.Sb_workloads.Workloads.name, Workload w))
-      Sb_workloads.Workloads.all
+type cell = { name : string; target : target; iters : int option }
 
-(* One engine over named targets.  Runs inside a pool worker, so it must
+type column = {
+  label : string;
+  arch : Sb_isa.Arch_sig.arch_id;
+  engine : unit -> Sb_sim.Engine.t;
+  cells : cell list;
+  key : string option;
+}
+
+let bench_cells benches =
+  List.map
+    (fun b -> { name = b.Simbench.Bench.name; target = Bench b; iters = None })
+    benches
+
+let suite_cells = bench_cells Simbench.Suite.all
+
+let workload_cells n =
+  List.map
+    (fun w ->
+      {
+        name = w.Sb_workloads.Workloads.name;
+        target = Workload w;
+        iters = Some n;
+      })
+    Sb_workloads.Workloads.all
+
+let version_column ~arch cells dbt_config =
+  {
+    label = version_label dbt_config;
+    arch;
+    engine = (fun () -> Simbench.Engines.dbt_configured arch dbt_config);
+    cells;
+    key = Some (Cache.fingerprint dbt_config);
+  }
+
+(* A paper engine is a module pack, which cannot be fingerprinted; what
+   names and describes it can: the experiment tag, the column label and
+   the feature row. *)
+let paper_columns ~tag ~arch cells =
+  List.map
+    (fun (label, engine) ->
+      {
+        label;
+        arch;
+        engine = (fun () -> engine);
+        cells;
+        key =
+          Some (Cache.fingerprint (tag, label, Sb_sim.Engine.features engine));
+      })
+    (Simbench.Engines.paper_set arch)
+
+(* The one report key, of the memo and the disk cache alike.  Cold and
+   fast-forwarded columns are distinct measurements. *)
+let column_key ~config c =
+  Option.map
+    (fun identity ->
+      Cache.fingerprint
+        ( "simbench-column",
+          identity,
+          c.arch,
+          List.map (fun cell -> (cell.name, cell.iters)) c.cells,
+          config.scale,
+          config.repeats,
+          switch_name config.switch_at ))
+    c.key
+
+let memo : (string, row list) Hashtbl.t = Hashtbl.create 64
+
+let reset_memo () = Hashtbl.reset memo
+
+(* One column, inside a pool worker: it builds its engine there and must
    touch no shared mutable state.  With a switch point set, the first run
-   of a bench fast-forwards setup once and every later (engine, repeat)
+   of a bench fast-forwards setup once and every later (column, repeat)
    run of the same bench restores that checkpoint: the store key excludes
    the timed engine (per-insn engines share one interpreter-produced boot;
    the block-granular DBT keeps its own, see {!Simbench.Harness.run}). *)
-let compute_column ~config ~ckpt_dir ~arch ?iters targets (label, engine) =
+let run_column ~config ~ckpt_dir c =
   let checkpoints = checkpoint_store ~config ~ckpt_dir in
+  let engine = c.engine () in
   List.map
-    (fun (cell, target) ->
-      measure ~label ~arch ~cell ~repeats:config.repeats ~scale:config.scale
-        ?iters ?switch_at:config.switch_at ?checkpoints ~engine target)
-    targets
+    (fun cell ->
+      measure ~label:c.label ~arch:c.arch ~cell:cell.name
+        ~repeats:config.repeats ~scale:config.scale ?iters:cell.iters
+        ?switch_at:config.switch_at ?checkpoints ~engine cell.target)
+    c.cells
 
-let compute_cell ~config ~ckpt_dir ~arch ~kind dbt_config =
-  let iters = match kind with `Suite -> None | `Workloads n -> Some n in
-  compute_column ~config ~ckpt_dir ~arch ?iters (kind_targets kind)
-    (version_label dbt_config, Simbench.Engines.dbt_configured arch dbt_config)
-
-let key_of ~config ~arch ~kind dbt_config =
-  {
-    k_arch = arch;
-    k_dbt = dbt_config;
-    k_scale = config.scale;
-    k_repeats = config.repeats;
-    k_kind = kind;
-    k_switch = switch_name config.switch_at;
-  }
-
-let cell_fingerprint ~config ~arch ~kind dbt_config =
-  Cache.fingerprint
-    ( "simbench-cell",
-      arch,
-      dbt_config,
-      kind,
-      config.scale,
-      config.repeats,
-      switch_name config.switch_at )
-
-let cache_of opts = Option.map (fun dir -> Cache.create ~dir) opts.cache_dir
-
-let kind_name = function `Suite -> "suite" | `Workloads _ -> "workloads"
-
-let run_pool ~opts tasks =
-  Pool.run ~jobs:opts.jobs ?cache:(cache_of opts) ?deadline:opts.deadline
-    ~retries:opts.retries tasks
-
-(* The rows of one pool task: a late success is marked retried, and a lost
-   task (crash, timeout, quarantine) becomes one failure row per cell, so
-   figures render with gaps and --json records what happened instead of
-   the whole experiment aborting. *)
-let rows_of_outcome ~arch ~label ~cells = function
+(* The rows of one column's pool task: a late success is marked retried,
+   and a lost task (crash, timeout, quarantine) becomes one failure row per
+   cell, so figures render with gaps and --json records what happened
+   instead of the whole experiment aborting. *)
+let rows_of_outcome c = function
   | Pool.Done rows -> rows
   | Pool.Retried (rows, n) -> List.map (mark_retried n) rows
   | Pool.Failed f ->
     Printf.eprintf "[sb-report] %s\n%!" (Pool.failure_message f);
-    let arch = Simbench.Engines.arch_name arch in
-    List.map (fun cell -> failure_row ~arch ~label ~cell f) cells
+    let arch = Simbench.Engines.arch_name c.arch in
+    List.map
+      (fun cell -> failure_row ~arch ~label:c.label ~cell:cell.name f)
+      c.cells
 
-(* Compute any not-yet-memoized cells, farming them out to the pool.  One
-   cell = one (dbt-version config, arch, suite-or-workloads) sweep; cells
-   are the parallel unit because they are fully independent and their
-   results are small marshallable rows. *)
-let prefetch ?(opts = sequential) ~config cells =
-  let seen = Hashtbl.create 16 in
+(* Columns are the parallel unit: each is independent and its result is a
+   small marshallable row list.  One pool pass runs every unkeyed column
+   and every keyed one not yet memoized, once per key. *)
+let columns ?(opts = sequential) ~config cols =
+  let cols = List.mapi (fun i c -> (i, c, column_key ~config c)) cols in
+  let queued = Hashtbl.create 16 in
   let todo =
     List.filter
-      (fun (arch, kind, dbt) ->
-        let k = key_of ~config ~arch ~kind dbt in
-        if Hashtbl.mem memo k || Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      cells
+      (fun (_, _, key) ->
+        match key with
+        | None -> true
+        | Some k when Hashtbl.mem memo k || Hashtbl.mem queued k -> false
+        | Some k ->
+          Hashtbl.add queued k ();
+          true)
+      cols
   in
-  if todo <> [] then begin
-    let tasks =
-      List.map
-        (fun (arch, kind, dbt) ->
-          Pool.task
-            ~key:(cell_fingerprint ~config ~arch ~kind dbt)
-            ~label:
-              (Printf.sprintf "%s/%s/%s" (version_label dbt)
-                 (Simbench.Engines.arch_name arch) (kind_name kind))
-            (fun () ->
-              compute_cell ~config ~ckpt_dir:opts.cache_dir ~arch ~kind dbt))
-        todo
-    in
-    let results = run_pool ~opts tasks in
-    List.iter2
-      (fun (arch, kind, dbt) outcome ->
-        let rows =
-          rows_of_outcome ~arch ~label:(version_label dbt)
-            ~cells:(List.map fst (kind_targets kind))
-            outcome
-        in
-        Hashtbl.replace memo (key_of ~config ~arch ~kind dbt) rows)
-      todo results
-  end
-
-let cell_rows ?opts ~config ~arch ~kind dbt_config =
-  let k = key_of ~config ~arch ~kind dbt_config in
-  let rows =
-    match Hashtbl.find_opt memo k with
-    | Some rows -> rows
-    | None ->
-      prefetch ?opts ~config [ (arch, kind, dbt_config) ];
-      Hashtbl.find memo k
+  let outcomes =
+    (* a pass of memo hits opens no cache: [Cache.create] sweeps the
+       directory *)
+    if todo = [] then []
+    else
+      Pool.run ~jobs:opts.jobs
+        ?cache:(Option.map (fun dir -> Cache.create ~dir) opts.cache_dir)
+        ?deadline:opts.deadline ~retries:opts.retries
+        (List.map
+           (fun (_, c, key) ->
+             Pool.task ?key
+               ~label:(c.label ^ "/" ^ Simbench.Engines.arch_name c.arch)
+               (fun () -> run_column ~config ~ckpt_dir:opts.cache_dir c))
+           todo)
   in
-  record rows;
-  rows
-
-let times_for ?opts ~arch ~config ~kind dbt_config =
-  let k = key_of ~config ~arch ~kind dbt_config in
-  match Hashtbl.find_opt times_memo k with
-  | Some times ->
-    record (Hashtbl.find memo k);
-    times
-  | None ->
-    let times =
-      List.map
-        (fun r -> (r.row_cell, r.row_seconds))
-        (cell_rows ?opts ~config ~arch ~kind dbt_config)
-    in
-    Hashtbl.replace times_memo k times;
-    times
-
-let suite_times_for_version ?opts ~arch ~config dbt_config =
-  times_for ?opts ~arch ~config ~kind:`Suite dbt_config
-
-let workload_times_for_version ?opts ~arch ~config dbt_config =
-  times_for ?opts ~arch ~config
-    ~kind:(`Workloads config.workload_iters)
-    dbt_config
+  (* rows of this pass's unkeyed columns, by position *)
+  let fresh = Hashtbl.create 8 in
+  List.iter2
+    (fun (i, c, key) outcome ->
+      let rows = rows_of_outcome c outcome in
+      match key with
+      | Some k -> Hashtbl.replace memo k rows
+      | None -> Hashtbl.replace fresh i rows)
+    todo outcomes;
+  List.map
+    (fun (i, _, key) ->
+      let rows =
+        match key with
+        | Some k -> Hashtbl.find memo k
+        | None -> Hashtbl.find fresh i
+      in
+      record rows;
+      rows)
+    cols
 
 (* name -> seconds lookup table: the O(n^2) List.assoc aggregation the
    figures used to do is now one table build + O(1) probes *)
@@ -435,7 +423,7 @@ let times_tbl rows =
 let tfind tbl name = try Hashtbl.find tbl name with Not_found -> nan
 
 (* The twenty release names map onto a handful of distinct configurations;
-   measure each configuration once. *)
+   the memo measures each configuration once. *)
 let version_names = Sb_dbt.Version.names
 
 let config_of_version name =
@@ -445,84 +433,50 @@ let config_of_version name =
 
 let baseline_dbt = config_of_version Sb_dbt.Version.baseline_name
 
-let version_cells ~arch ~kind () =
-  (arch, kind, baseline_dbt)
-  :: List.map (fun v -> (arch, kind, config_of_version v)) version_names
+let version_columns ~arch cells =
+  List.map
+    (version_column ~arch cells)
+    (baseline_dbt :: List.map config_of_version version_names)
 
 let version_sweep config =
-  version_cells ~arch:Sb_isa.Arch_sig.Sba ~kind:`Suite ()
-  @ version_cells ~arch:Sb_isa.Arch_sig.Vlx ~kind:`Suite ()
-  @ version_cells ~arch:Sb_isa.Arch_sig.Sba
-      ~kind:(`Workloads config.workload_iters) ()
+  version_columns ~arch:Sb_isa.Arch_sig.Sba suite_cells
+  @ version_columns ~arch:Sb_isa.Arch_sig.Vlx suite_cells
+  @ version_columns ~arch:Sb_isa.Arch_sig.Sba
+      (workload_cells config.workload_iters)
 
-(* ------------------------------------------------------------------ *)
-(* Paper-engine columns (Figures 7 and the extension table)             *)
-(* ------------------------------------------------------------------ *)
-
-let column_fingerprint ~config ~arch ~tag (label, engine) =
-  Cache.fingerprint
-    ( "simbench-column",
-      tag,
-      label,
-      Sb_sim.Engine.features engine,
-      arch,
-      config.scale,
-      config.repeats,
-      switch_name config.switch_at )
-
-let engine_columns ~opts ~config ~arch ~tag ~benches engines =
-  let targets = bench_targets benches in
-  let tasks =
-    List.map
-      (fun (label, engine) ->
-        Pool.task
-          ~key:(column_fingerprint ~config ~arch ~tag (label, engine))
-          ~label:
-            (Printf.sprintf "%s/%s/%s" tag label
-               (Simbench.Engines.arch_name arch))
-          (fun () ->
-            compute_column ~config ~ckpt_dir:opts.cache_dir ~arch targets
-              (label, engine)))
-      engines
-  in
-  let results = run_pool ~opts tasks in
-  List.map2
-    (fun (label, _) outcome ->
-      let rows =
-        rows_of_outcome ~arch ~label ~cells:(List.map fst targets) outcome
-      in
-      record rows;
-      (label, times_tbl rows))
-    engines results
+(* one guest's sweep over [cells]: the baseline's rows, then each
+   release's in [version_names] order *)
+let sweep ?opts ~config ~arch cells =
+  match columns ?opts ~config (version_columns ~arch cells) with
+  | base :: releases -> (base, releases)
+  | [] -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let fig2 ?(config = default_config) ?(opts = sequential) () =
-  let arch = Sb_isa.Arch_sig.Sba in
-  let kind = `Workloads config.workload_iters in
-  prefetch ~opts ~config (version_cells ~arch ~kind ());
-  let base = times_tbl (cell_rows ~config ~arch ~kind baseline_dbt) in
+  let base, releases =
+    sweep ~opts ~config ~arch:Sb_isa.Arch_sig.Sba
+      (workload_cells config.workload_iters)
+  in
+  let base = times_tbl base in
   let per_version =
     List.map
-      (fun v ->
-        let tbl =
-          times_tbl (cell_rows ~config ~arch ~kind (config_of_version v))
-        in
+      (fun rows ->
         let speedups = Hashtbl.create 16 in
         Hashtbl.iter
           (fun name t ->
             Hashtbl.replace speedups name
               (Stats.speedup ~baseline:(tfind base name) t))
-          tbl;
-        (v, speedups))
-      version_names
+          (times_tbl rows);
+        speedups)
+      releases
   in
-  let series_of name = List.map (fun (_, s) -> tfind s name) per_version in
+  let series_of name = List.map (fun s -> tfind s name) per_version in
   let overall =
     List.map
-      (fun (_, speedups) ->
+      (fun speedups ->
         Stats.weighted_geomean
           (List.map
              (fun w ->
@@ -635,13 +589,9 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 
 let fig6_arch ~config arch =
-  let base = times_tbl (cell_rows ~config ~arch ~kind:`Suite baseline_dbt) in
-  let per_version =
-    List.map
-      (fun v ->
-        times_tbl (cell_rows ~config ~arch ~kind:`Suite (config_of_version v)))
-      version_names
-  in
+  let base, releases = sweep ~config ~arch suite_cells in
+  let base = times_tbl base in
+  let per_version = List.map times_tbl releases in
   let speedup_series bench_name =
     List.map
       (fun tbl ->
@@ -662,9 +612,11 @@ let fig6_arch ~config arch =
   String.concat "\n" (List.map category_block Simbench.Category.all)
 
 let fig6 ?(config = default_config) ?(opts = sequential) () =
-  prefetch ~opts ~config
-    (version_cells ~arch:Sb_isa.Arch_sig.Sba ~kind:`Suite ()
-    @ version_cells ~arch:Sb_isa.Arch_sig.Vlx ~kind:`Suite ());
+  (* both guests in one pool pass; each block then reads the memo *)
+  ignore
+    (columns ~opts ~config
+       (version_columns ~arch:Sb_isa.Arch_sig.Sba suite_cells
+       @ version_columns ~arch:Sb_isa.Arch_sig.Vlx suite_cells));
   "Figure 6: SimBench speedups per category across QEMU-DBT versions\n\
    (v1.7.0 = 1.0; larger is faster).\n\n"
   ^ fig6_arch ~config Sb_isa.Arch_sig.Sba
@@ -676,11 +628,8 @@ let fig6 ?(config = default_config) ?(opts = sequential) () =
 (* ------------------------------------------------------------------ *)
 
 let fig7_arch ~config ~opts arch =
-  let engines = Simbench.Engines.paper_set arch in
-  let columns =
-    engine_columns ~opts ~config ~arch ~tag:"fig7" ~benches:Simbench.Suite.all
-      engines
-  in
+  let cols = paper_columns ~tag:"fig7" ~arch suite_cells in
+  let tables = List.map times_tbl (columns ~opts ~config cols) in
   let rows =
     List.map
       (fun bench ->
@@ -690,14 +639,14 @@ let fig7_arch ~config ~opts arch =
         in
         (name :: string_of_int iters
         :: List.map
-             (fun (_, tbl) -> Printf.sprintf "%.4f" (tfind tbl name))
-             columns))
+             (fun tbl -> Printf.sprintf "%.4f" (tfind tbl name))
+             tables))
       Simbench.Suite.all
   in
   Printf.sprintf "%s (kernel seconds; iterations = Figure 3 counts / %d)\n\n%s"
     (arch_label arch) config.scale
     (Tablefmt.render
-       ~header:(("Benchmark" :: "Iters" :: List.map fst columns))
+       ~header:("Benchmark" :: "Iters" :: List.map (fun c -> c.label) cols)
        rows)
 
 let fig7 ?(config = default_config) ?(opts = sequential) () =
@@ -712,47 +661,47 @@ let fig7 ?(config = default_config) ?(opts = sequential) () =
 
 let fig8 ?(config = default_config) ?(opts = sequential) () =
   let arch = Sb_isa.Arch_sig.Sba in
-  let wl = `Workloads config.workload_iters in
-  prefetch ~opts ~config
-    (version_cells ~arch ~kind:`Suite () @ version_cells ~arch ~kind:wl ());
-  let base_suite = times_tbl (cell_rows ~config ~arch ~kind:`Suite baseline_dbt) in
-  let base_workloads = times_tbl (cell_rows ~config ~arch ~kind:wl baseline_dbt) in
-  let geo ~kind ~base version =
-    let rows = cell_rows ~config ~arch ~kind (config_of_version version) in
-    Stats.geomean
-      (List.map
-         (fun r ->
-           Stats.speedup ~baseline:(tfind base r.row_cell) r.row_seconds)
-         rows)
+  let wl = workload_cells config.workload_iters in
+  (* both sweeps in one pool pass; [geo] then reads the memo *)
+  ignore
+    (columns ~opts ~config
+       (version_columns ~arch suite_cells @ version_columns ~arch wl));
+  let geo cells =
+    let base, releases = sweep ~config ~arch cells in
+    let base = times_tbl base in
+    List.map
+      (fun rows ->
+        Stats.geomean
+          (List.map
+             (fun r ->
+               Stats.speedup ~baseline:(tfind base r.row_cell) r.row_seconds)
+             rows))
+      releases
   in
   "Figure 8: geometric-mean speedup of the SPEC-analog workloads and of\n\
    SimBench across QEMU-DBT versions (v1.7.0 = 1.0).\n\n"
   ^ Tablefmt.render_series ~x_label:"version" ~x_values:version_names
-      [
-        ("SPEC", List.map (geo ~kind:wl ~base:base_workloads) version_names);
-        ("SimBench", List.map (geo ~kind:`Suite ~base:base_suite) version_names);
-      ]
+      [ ("SPEC", geo wl); ("SimBench", geo suite_cells) ]
 
 let extensions ?(config = default_config) ?(opts = sequential) () =
-  let arch = Sb_isa.Arch_sig.Sba in
-  let engines = Simbench.Engines.paper_set arch in
-  let columns =
-    engine_columns ~opts ~config ~arch ~tag:"ext"
-      ~benches:Simbench.Suite_ext.all engines
+  let cols =
+    paper_columns ~tag:"ext" ~arch:Sb_isa.Arch_sig.Sba
+      (bench_cells Simbench.Suite_ext.all)
   in
+  let tables = List.map times_tbl (columns ~opts ~config cols) in
   let rows =
     List.map
       (fun bench ->
         bench.Simbench.Bench.name
         :: List.map
-             (fun (_, tbl) ->
+             (fun tbl ->
                Printf.sprintf "%.4f" (tfind tbl bench.Simbench.Bench.name))
-             columns)
+             tables)
       Simbench.Suite_ext.all
   in
   "Extension benchmarks (the paper's future work): kernel seconds.\n\n"
   ^ Tablefmt.render
-      ~header:("Benchmark" :: List.map fst engines)
+      ~header:("Benchmark" :: List.map (fun c -> c.label) cols)
       rows
 
 (* ------------------------------------------------------------------ *)

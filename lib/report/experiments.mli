@@ -3,17 +3,16 @@
     them, with the {!Ablations}, under the names [simbench report]
     accepts.
 
-    Each driver runs the required sweep and renders a plain-text table (for
-    the paper's tables) or a labelled series table (for its line graphs).
-    Results are memoized per (engine-configuration, architecture, scale), so
-    Figures 2, 6 and 8 — which share the QEMU-version sweep — do not re-run
-    each other's measurements within a process.
-
-    Independent sweep cells can additionally be farmed out to a
-    {!Sb_jobs.Pool} of forked workers ([opts.jobs]) and backed by a
-    persistent on-disk {!Sb_jobs.Cache} ([opts.cache_dir]); with the default
-    {!sequential} options every measurement runs in-process, in the same
-    order as before the pool existed. *)
+    Every measurement is a {!column}: one engine over a list of cells, run
+    as one {!Sb_jobs.Pool} task by {!columns}.  The figures, the version
+    sweep they share and the ablations all build column lists and call
+    {!columns}, which farms them out to [opts.jobs] forked workers.  A
+    keyed column is memoized in-process and, with [opts.cache_dir], cached
+    on disk under the same {!column_key}, so Figures 2, 6 and 8 (which
+    share the QEMU-version sweep) do not re-run each other's measurements.
+    With the default {!sequential} options every column runs in-process,
+    in order, and each driver renders a plain-text table (for the paper's
+    tables) or a labelled series table (for its line graphs). *)
 
 type config = {
   scale : int;          (** Figure 3 iteration counts are divided by this *)
@@ -43,14 +42,13 @@ val switch_name : Simbench.Checkpoint.point option -> string
 type run_opts = {
   jobs : int;  (** worker processes; 1 = in-process sequential *)
   cache_dir : string option;
-      (** persistent result cache; cells are keyed by a digest of (engine
-          knobs, arch, workload kind, iteration counts, scale) *)
+      (** persistent result cache of keyed columns, under {!column_key} *)
   deadline : float option;
-      (** per-cell wall-clock budget in seconds; overrunning workers are
-          killed and the cell reported with status ["timeout"].  Forces
-          the forked pool path even at [jobs = 1]. *)
+      (** per-column wall-clock budget in seconds; overrunning workers
+          are killed and the column's cells reported with status
+          ["timeout"].  Forces the forked pool path even at [jobs = 1]. *)
   retries : int;
-      (** extra attempts for cells whose worker {e crashed} (never for
+      (** extra attempts for columns whose worker {e crashed} (never for
           timeouts); a late success is reported as ["retried <n>"] *)
 }
 
@@ -130,16 +128,6 @@ val failure_row :
 val mark_retried : int -> row -> row
 (** Status ["retried <n>"]: the row succeeded after [n] crashed attempts. *)
 
-val rows_of_outcome :
-  arch:Sb_isa.Arch_sig.arch_id ->
-  label:string ->
-  cells:string list ->
-  row list Sb_jobs.Pool.outcome ->
-  row list
-(** The rows of one pool task that measures [cells] under engine [label]:
-    a late success is {!mark_retried}, and a lost task (crash, timeout,
-    quarantine) warns on stderr and becomes one {!failure_row} per cell. *)
-
 val row_to_json : row -> Sb_util.Json.t
 (** The cell object of [simbench report --json] files and of serve [row]
     frames; [nan] seconds encode as [null]. *)
@@ -148,9 +136,6 @@ val row_of_json : Sb_util.Json.t -> (row, string) result
 (** Inverse of {!row_to_json}.  Errors start with ["row: "] and name the
     missing or ill-typed field; ["kernel_perf"] and ["status_note"] are
     optional. *)
-
-val reset_memo : unit -> unit
-(** Drop the in-process memo (tests use this to force re-measurement). *)
 
 val reset_records : unit -> unit
 
@@ -162,42 +147,70 @@ val recorded : unit -> row list
 (** Every cell touched since the last {!reset_records}, sorted — the
     payload of [simbench report --json]. *)
 
-type cell_kind = [ `Suite | `Workloads of int ]
+(** {2 Columns} *)
 
-val cell_fingerprint :
-  config:config ->
-  arch:Sb_isa.Arch_sig.arch_id ->
-  kind:cell_kind ->
-  Sb_dbt.Config.t ->
-  string
-(** The on-disk cache key of a version-sweep cell; changes whenever any
-    knob of the configuration, the arch, the kind, the iteration counts or
-    the scale changes. *)
+type cell = {
+  name : string;  (** becomes [row_cell] *)
+  target : target;
+  iters : int option;
+      (** a fixed iteration count; [None] is a bench's Figure 3 count
+          divided by the config's [scale] *)
+}
 
-val prefetch :
-  ?opts:run_opts ->
-  config:config ->
-  (Sb_isa.Arch_sig.arch_id * cell_kind * Sb_dbt.Config.t) list ->
-  unit
-(** Measure (or cache-load) any not-yet-memoized cells, [opts.jobs] at a
-    time.  A cell whose worker fails, times out or is quarantined does
-    {e not} abort the run: it is memoized as placeholder rows with the
-    corresponding non-ok {!row.row_status} (one per benchmark of the
-    cell), a warning goes to stderr, and rendering continues with gaps. *)
+type column = {
+  label : string;  (** becomes [row_engine] *)
+  arch : Sb_isa.Arch_sig.arch_id;
+  engine : unit -> Sb_sim.Engine.t;  (** called where the column runs *)
+  cells : cell list;
+  key : string option;
+      (** a digest of the column's identity, which with its arch, its
+          cells and the config determines its rows.  [None]: the column
+          runs every time {!columns} is asked for it, and is never
+          memoized or cached. *)
+}
 
-val version_sweep :
-  config -> (Sb_isa.Arch_sig.arch_id * cell_kind * Sb_dbt.Config.t) list
-(** Every cell Figures 2, 6 and 8 read: both guests' suites and the SBA
+val suite_cells : cell list
+(** {!Simbench.Suite.all}, at the Figure 3 counts divided by [scale]. *)
+
+val workload_cells : int -> cell list
+(** Every SPEC-analog workload at that many kernel passes. *)
+
+val version_column :
+  arch:Sb_isa.Arch_sig.arch_id -> cell list -> Sb_dbt.Config.t -> column
+(** The DBT under one configuration, labelled ["dbt:<release>"] (or
+    ["dbt:custom"]); its identity is the whole configuration record. *)
+
+val paper_columns :
+  tag:string -> arch:Sb_isa.Arch_sig.arch_id -> cell list -> column list
+(** One column per {!Simbench.Engines.paper_set} engine, labelled with its
+    platform name; its identity is [tag] (the experiment), the label and
+    the engine's feature row. *)
+
+val column_key : config:config -> column -> string option
+(** The memo and disk-cache key of a keyed column: a digest of its
+    identity, arch, cell names and iteration counts, and the config's
+    scale, repeats and switch point.  [None] for an unkeyed column. *)
+
+val columns : ?opts:run_opts -> config:config -> column list -> row list list
+(** The rows of each column, positionally, one row per cell in cell
+    order.  One {!Sb_jobs.Pool} pass with [opts] (default {!sequential})
+    runs every unkeyed column and every keyed column not yet memoized,
+    once per key; keyed results are memoized, and with [opts.cache_dir]
+    also cached on disk, so a memoized column returns the physically same
+    list.  A column whose task fails, times out or is quarantined does
+    {e not} abort the run: a warning goes to stderr and it becomes one
+    failure row per cell (status ["failed"], ["timeout"], …), memoized
+    like any result, so figures render with gaps.  Every row returned is
+    {!record}ed.  With [config.switch_at] set, each cell fast-forwards
+    through a checkpoint store in [opts.cache_dir]. *)
+
+val reset_memo : unit -> unit
+(** Drop the in-process memo (tests use this to force re-measurement). *)
+
+val version_sweep : config -> column list
+(** Every column Figures 2, 6 and 8 read: both guests' suites and the SBA
     workloads, under the baseline and every release.  The [all]
-    experiment {!prefetch}es it in one pool pass. *)
-
-val cell_rows :
-  ?opts:run_opts ->
-  config:config ->
-  arch:Sb_isa.Arch_sig.arch_id ->
-  kind:cell_kind ->
-  Sb_dbt.Config.t ->
-  row list
+    experiment runs it through {!columns} in one pool pass. *)
 
 val fig2 : ?config:config -> ?opts:run_opts -> unit -> string
 (** sjeng vs mcf vs overall SPEC rating across QEMU versions. *)
@@ -231,20 +244,3 @@ val synthetic_faults : ?opts:run_opts -> unit -> string
     per-cell statuses.  The rows are {!recorded}, so [--json] output
     carries statuses ["ok"], ["failed"] and ["timeout"] — what the CI
     chaos smoke job asserts on.  Never raises. *)
-
-(** Raw data access for tests and ablations. *)
-
-val suite_times_for_version :
-  ?opts:run_opts ->
-  arch:Sb_isa.Arch_sig.arch_id ->
-  config:config ->
-  Sb_dbt.Config.t ->
-  (string * float) list
-(** Kernel seconds per benchmark for one DBT configuration (memoized). *)
-
-val workload_times_for_version :
-  ?opts:run_opts ->
-  arch:Sb_isa.Arch_sig.arch_id ->
-  config:config ->
-  Sb_dbt.Config.t ->
-  (string * float) list

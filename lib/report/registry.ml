@@ -19,10 +19,10 @@ let figures =
       entry "ext" (fun config opts -> extensions ~config ~opts ());
     ]
 
-(* one prefetch of the whole version sweep before rendering: with -j N
-   every cell of Figures 2, 6 and 8 fills the pool at once *)
+(* the whole version sweep in one pool pass before rendering: with -j N
+   every column of Figures 2, 6 and 8 fills the pool at once *)
 let all_figures config opts =
-  Experiments.prefetch ~opts ~config (Experiments.version_sweep config);
+  ignore (Experiments.columns ~opts ~config (Experiments.version_sweep config));
   String.concat "\n\n" (List.map (fun e -> e.run config opts) figures)
 
 let all =

@@ -3,8 +3,8 @@
     The paper's figures and the extension table come first, then the
     {!Ablations} studies, then two names a bare [simbench report] skips:
     [synthetic-faults] (the pool's crash and hang self-check, see
-    docs/robustness.md) and [all] (every figure after one prefetch of the
-    whole version sweep). *)
+    docs/robustness.md) and [all] (every figure, after one
+    {!Experiments.columns} pass over the whole version sweep). *)
 
 type experiment = {
   name : string;

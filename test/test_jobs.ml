@@ -51,7 +51,16 @@ let test_positional_results () =
             Alcotest.(check int) (Printf.sprintf "task %d (j%d)" i jobs) (i * i) v
           | Pool.Failed f -> Alcotest.fail (Pool.failure_message f))
         results)
-    [ 1; 3 ]
+    [ 1; 3 ];
+  (* a single task without a deadline runs in the caller's process at
+     any [jobs] *)
+  let stats = Pool.stats () in
+  match Pool.run ~jobs:2 ~stats [ Pool.task ~label:"pid" Unix.getpid ] with
+  | [ Pool.Done pid ] ->
+    Alcotest.(check int) "single task in the caller's process" (Unix.getpid ())
+      pid;
+    Alcotest.(check int) "nothing forked" 0 stats.Pool.forked
+  | _ -> Alcotest.fail "unexpected outcome shape"
 
 let test_thunk_exception_is_failed () =
   let tasks =
@@ -494,24 +503,54 @@ let test_fsck_json_report () =
 
 let test_fingerprint_moves_with_knobs () =
   let base_config = Experiments.quick_config in
-  let fp ?(config = base_config) ?(arch = Sb_isa.Arch_sig.Sba)
-      ?(kind = (`Suite : Experiments.cell_kind)) dbt =
-    Experiments.cell_fingerprint ~config ~arch ~kind dbt
+  let arch = Sb_isa.Arch_sig.Sba in
+  let key ?(config = base_config) column =
+    Option.get (Experiments.column_key ~config column)
+  in
+  let fp ?config ?(arch = arch) ?(cells = Experiments.suite_cells) dbt =
+    key ?config (Experiments.version_column ~arch cells dbt)
   in
   let base = fp Sb_dbt.Config.baseline in
   Alcotest.(check string) "deterministic" base (fp Sb_dbt.Config.baseline);
+  let paper =
+    List.hd (Experiments.paper_columns ~tag:"fig7" ~arch Experiments.suite_cells)
+  in
   let variants =
     [
       ("arch", fp ~arch:Sb_isa.Arch_sig.Vlx Sb_dbt.Config.baseline);
-      ("kind", fp ~kind:(`Workloads 7) Sb_dbt.Config.baseline);
+      ("kind", fp ~cells:(Experiments.workload_cells 7) Sb_dbt.Config.baseline);
       ("scale", fp ~config:{ base_config with Experiments.scale = base_config.Experiments.scale + 1 }
            Sb_dbt.Config.baseline);
       ("repeats", fp ~config:{ base_config with Experiments.repeats = base_config.Experiments.repeats + 1 }
            Sb_dbt.Config.baseline);
+      ( "switch point",
+        fp
+          ~config:
+            {
+              base_config with
+              Experiments.switch_at = Some Simbench.Checkpoint.Kernel_phase;
+            }
+          Sb_dbt.Config.baseline );
       ( "engine knob",
         fp { Sb_dbt.Config.baseline with Sb_dbt.Config.chain_direct = not Sb_dbt.Config.baseline.Sb_dbt.Config.chain_direct } );
       ( "front cache knob",
         fp { Sb_dbt.Config.baseline with Sb_dbt.Config.front_cache = not Sb_dbt.Config.baseline.Sb_dbt.Config.front_cache } );
+      ("cell list", fp ~cells:(List.tl Experiments.suite_cells) Sb_dbt.Config.baseline);
+      ( "iteration count",
+        fp
+          ~cells:
+            (match Experiments.suite_cells with
+            | c :: rest -> { c with Experiments.iters = Some 7 } :: rest
+            | [] -> [])
+          Sb_dbt.Config.baseline );
+      ( "paper-column identity",
+        key
+          {
+            (Experiments.version_column ~arch Experiments.suite_cells
+               Sb_dbt.Config.baseline)
+            with
+            Experiments.key = paper.Experiments.key;
+          } );
     ]
   in
   List.iter
@@ -543,12 +582,12 @@ let test_pool_matches_sequential () =
     let opts =
       { Experiments.jobs; cache_dir = None; deadline = None; retries = 0 }
     in
-    Experiments.prefetch ~opts ~config
-      (List.map (fun (arch, dbt) -> (arch, `Suite, dbt)) columns);
-    List.concat_map
-      (fun (arch, dbt) ->
-        Experiments.cell_rows ~opts ~config ~arch ~kind:`Suite dbt)
-      columns
+    List.concat
+      (Experiments.columns ~opts ~config
+         (List.map
+            (fun (arch, dbt) ->
+              Experiments.version_column ~arch Experiments.suite_cells dbt)
+            columns))
   in
   let seq = rows ~jobs:1 in
   let par = rows ~jobs:2 in
@@ -571,7 +610,7 @@ let test_pool_matches_sequential () =
       Alcotest.(check bool) "positive time" true (p.Experiments.row_seconds > 0.))
     seq par
 
-let test_cell_rows_cached_on_disk () =
+let test_columns_cached_on_disk () =
   let dir = tmp_dir "sb_jobs_cells" in
   let config = Experiments.quick_config in
   let arch = Sb_isa.Arch_sig.Sba in
@@ -580,7 +619,12 @@ let test_cell_rows_cached_on_disk () =
   in
   let rows ~opts =
     Experiments.reset_memo ();
-    Experiments.cell_rows ~opts ~config ~arch ~kind:`Suite Sb_dbt.Config.baseline
+    List.concat
+      (Experiments.columns ~opts ~config
+         [
+           Experiments.version_column ~arch Experiments.suite_cells
+             Sb_dbt.Config.baseline;
+         ])
   in
   let first = rows ~opts in
   (* second pass: memo was dropped, so everything must come from disk —
@@ -756,6 +800,6 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "pool == sequential" `Quick test_pool_matches_sequential;
-          Alcotest.test_case "disk cache round trip" `Quick test_cell_rows_cached_on_disk;
+          Alcotest.test_case "disk cache round trip" `Quick test_columns_cached_on_disk;
         ] );
     ]

@@ -113,18 +113,25 @@ let cell ?(experiment = "figX") ?(engine = "dbt:v1.7.0") ?(arch = "sba")
     ?(iters = 1000) ?(insns = 5_000) ?(status = "ok") ~name samples =
   {
     Regress.experiment;
-    engine;
-    arch;
-    cell = name;
-    iters;
-    repeats = List.length samples;
-    seconds = Stats.min_of_repeats samples;
-    mean_seconds = Stats.mean samples;
-    samples;
-    kernel_insns = insns;
-    perf = [];
-    status;
+    row =
+      {
+        Sb_report.Experiments.row_cell = name;
+        row_engine = engine;
+        row_arch = arch;
+        row_iters = iters;
+        row_repeats = List.length samples;
+        row_seconds = Stats.min_of_repeats samples;
+        row_mean_seconds = Stats.mean samples;
+        row_samples = samples;
+        row_kernel_insns = insns;
+        row_perf = [];
+        row_status = status;
+        row_note = "";
+      };
   }
+
+(* a cell with its row edited *)
+let edit_row f (c : Regress.cell) = { c with Regress.row = f c.Regress.row }
 
 let classify olds news =
   Regress.classify ~threshold:0.05
@@ -362,7 +369,7 @@ let test_filter_engine_canonical () =
   in
   let engines label =
     List.map
-      (fun c -> c.Regress.engine)
+      (fun (c : Regress.cell) -> c.row.row_engine)
       (Baseline.filter_engine r label).Regress.cells
   in
   (* recorded rows carry the first-listed release of each configuration *)
@@ -401,7 +408,9 @@ let test_exit_codes () =
 (* [compare --counters] ignores timing and exits 1 on any counter edit,
    on a cell present on one side only, or on a failed cell. *)
 let test_counter_gate () =
-  let with_perf c = { c with Regress.perf = [ ("Insns", 5_000); ("Mmu_walks", 12) ] } in
+  let with_perf =
+    edit_row (fun r -> { r with row_perf = [ ("Insns", 5_000); ("Mmu_walks", 12) ] })
+  in
   let base =
     [
       with_perf (cell ~name:"Small Blocks" [ 0.1 ]);
@@ -418,20 +427,24 @@ let test_counter_gate () =
   let edit_first f = match base with c :: rest -> f c :: rest | [] -> [] in
   check "identical" 0 base;
   check "only timing differs" 0
-    (List.map (fun c -> { c with Regress.samples = [ 9.0 ]; seconds = 9.0 }) base);
+    (List.map
+       (edit_row (fun r -> { r with row_samples = [ 9.0 ]; row_seconds = 9.0 }))
+       base);
   let one_counter =
-    edit_first (fun c -> { c with Regress.perf = [ ("Insns", 5_000); ("Mmu_walks", 11) ] })
+    edit_first
+      (edit_row (fun r -> { r with row_perf = [ ("Insns", 5_000); ("Mmu_walks", 11) ] }))
   in
   check "one counter edited" 1 one_counter;
   Alcotest.(check bool) "the edit is named" true
     (contains (Regress.render_counters (gate one_counter)) "Mmu_walks 12 -> 11");
   check "a counter only on one side" 1
-    (edit_first (fun c -> { c with Regress.perf = ("Spills", 1) :: c.Regress.perf }));
+    (edit_first (edit_row (fun r -> { r with row_perf = ("Spills", 1) :: r.row_perf })));
   check "kernel_insns edited" 1
-    (edit_first (fun c -> { c with Regress.kernel_insns = 5_001 }));
+    (edit_first (edit_row (fun r -> { r with row_kernel_insns = 5_001 })));
   check "cell missing" 1 (List.tl base);
   check "extra cell" 1 (base @ [ with_perf (cell ~name:"TLB Flush" [ 0.3 ]) ]);
-  check "failed cell" 1 (edit_first (fun c -> { c with Regress.status = "failed" }))
+  check "failed cell" 1
+    (edit_first (edit_row (fun r -> { r with row_status = "failed" })))
 
 (* ------------------------------------------------------------------ *)
 (* Serialization and schema migration                                   *)
@@ -452,14 +465,14 @@ let test_snapshot_round_trip () =
   | Ok loaded ->
     Alcotest.(check int) "cell count" 2 (List.length loaded.Regress.cells);
     List.iter2
-      (fun (a : Regress.cell) (b : Regress.cell) ->
-        Alcotest.(check string) "cell" a.Regress.cell b.Regress.cell;
-        Alcotest.(check string) "engine" a.Regress.engine b.Regress.engine;
-        Alcotest.(check string) "arch" a.Regress.arch b.Regress.arch;
-        Alcotest.(check int) "iters" a.Regress.iters b.Regress.iters;
-        Alcotest.(check int) "insns" a.Regress.kernel_insns b.Regress.kernel_insns;
-        Alcotest.(check (list (float 1e-9))) "samples" a.Regress.samples
-          b.Regress.samples)
+      (fun ({ row = a; _ } : Regress.cell) ({ row = b; _ } : Regress.cell) ->
+        Alcotest.(check string) "cell" a.row_cell b.row_cell;
+        Alcotest.(check string) "engine" a.row_engine b.row_engine;
+        Alcotest.(check string) "arch" a.row_arch b.row_arch;
+        Alcotest.(check int) "iters" a.row_iters b.row_iters;
+        Alcotest.(check int) "insns" a.row_kernel_insns b.row_kernel_insns;
+        Alcotest.(check (list (float 1e-9))) "samples" a.row_samples
+          b.row_samples)
       cells loaded.Regress.cells);
   rm_rf dir
 
@@ -504,9 +517,9 @@ let test_bench_file_round_trip () =
     Alcotest.(check (list string)) "experiment from the file" [ "abl-x"; "abl-x" ]
       (List.map (fun (c : Regress.cell) -> c.Regress.experiment) loaded);
     Alcotest.(check (list string)) "engines" [ "abl-x:a"; "abl-x:b" ]
-      (List.map (fun (c : Regress.cell) -> c.Regress.engine) loaded);
+      (List.map (fun (c : Regress.cell) -> c.row.row_engine) loaded);
     Alcotest.(check (list int)) "insns" [ 1234; 5_000 ]
-      (List.map (fun (c : Regress.cell) -> c.Regress.kernel_insns) loaded));
+      (List.map (fun (c : Regress.cell) -> c.row.row_kernel_insns) loaded));
   (* without recording settings (the serve client) there is no jobs or
      config *)
   Alcotest.(check (list string)) "serve keys"

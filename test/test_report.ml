@@ -62,21 +62,28 @@ let test_fig2_and_8_structure () =
   Alcotest.(check bool) "SimBench series" true (contains out8 "SimBench")
 
 let test_suite_times_memoized () =
-  let t0 = Unix.gettimeofday () in
-  let a =
-    Sb_report.Experiments.suite_times_for_version ~arch:Sb_isa.Arch_sig.Sba ~config
-      Sb_dbt.Config.baseline
-  in
-  let first = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let b =
-    Sb_report.Experiments.suite_times_for_version ~arch:Sb_isa.Arch_sig.Sba ~config
-      Sb_dbt.Config.baseline
-  in
-  let second = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "same data" true (a == b);
-  Alcotest.(check bool) "memo hit is instant" true (second < first /. 2. || second < 0.001);
-  Alcotest.(check int) "covers the suite" 18 (List.length a)
+  let arch = Sb_isa.Arch_sig.Sba in
+  List.iter
+    (fun column ->
+      let rows () =
+        List.hd (Sb_report.Experiments.columns ~config [ column ])
+      in
+      let t0 = Unix.gettimeofday () in
+      let a = rows () in
+      let first = Unix.gettimeofday () -. t0 in
+      let t0 = Unix.gettimeofday () in
+      let b = rows () in
+      let second = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "same data" true (a == b);
+      Alcotest.(check bool) "memo hit is instant" true (second < first /. 2. || second < 0.001);
+      Alcotest.(check int) "covers the suite" 18 (List.length a))
+    [
+      Sb_report.Experiments.version_column ~arch Sb_report.Experiments.suite_cells
+        Sb_dbt.Config.baseline;
+      List.hd
+        (Sb_report.Experiments.paper_columns ~tag:"fig7" ~arch
+           Sb_report.Experiments.suite_cells);
+    ]
 
 let experiment name =
   match
@@ -180,6 +187,42 @@ let test_ablation_rows () =
         spec.benches)
     spec.variants
 
+(* ablation columns carry no key: with a cache directory and a switch
+   point they still run cold, leave no cache entry or checkpoint behind,
+   and measure afresh on every sweep *)
+let test_ablations_uncached () =
+  let spec =
+    List.find
+      (fun (s : Sb_report.Ablations.spec) -> s.name = "abl-predecode")
+      Sb_report.Ablations.all
+  in
+  let dir = Filename.temp_dir "sb_report_abl" "" in
+  let opts =
+    { Sb_report.Experiments.sequential with cache_dir = Some dir }
+  in
+  let config =
+    { config with switch_at = Some Simbench.Checkpoint.Kernel_phase }
+  in
+  let sweep () =
+    Sb_report.Experiments.reset_records ();
+    ignore (Sb_report.Ablations.sweep ~opts ~config spec);
+    Sb_report.Experiments.recorded ()
+  in
+  let first = sweep () in
+  let second = sweep () in
+  let entries = Array.to_list (Sys.readdir dir) in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) entries;
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "no cache entry or checkpoint" []
+    (List.filter (String.starts_with ~prefix:"sb_") entries);
+  Alcotest.(check int) "benches x columns rows"
+    (List.length spec.benches * List.length spec.variants)
+    (List.length second);
+  List.iter2
+    (fun (a : Sb_report.Experiments.row) b ->
+      Alcotest.(check bool) (a.row_engine ^ " measured again") true (a != b))
+    first second
+
 let () =
   Alcotest.run "sb_report"
     [
@@ -197,6 +240,8 @@ let () =
         [
           Alcotest.test_case "chaining table" `Quick test_ablation_table;
           Alcotest.test_case "rows are recorded" `Quick test_ablation_rows;
+          Alcotest.test_case "never cached, always cold" `Quick
+            test_ablations_uncached;
         ] );
       ( "experiment-registry",
         [ Alcotest.test_case "names and defaults" `Quick test_registry ] );

@@ -1009,7 +1009,12 @@ let test_one_cell_every_path () =
   let report ?opts config =
     List.find
       (fun r -> r.Sb_report.Experiments.row_cell = name)
-      (Sb_report.Experiments.cell_rows ?opts ~config ~arch ~kind:`Suite dbt)
+      (List.concat
+         (Sb_report.Experiments.columns ?opts ~config
+            [
+              Sb_report.Experiments.version_column ~arch
+                Sb_report.Experiments.suite_cells dbt;
+            ]))
   in
   let reported = report config in
   let iters = reported.Sb_report.Experiments.row_iters in
