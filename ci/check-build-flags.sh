@@ -1,0 +1,28 @@
+#!/bin/sh
+# Check the flags the default build compiles the engines with: no
+# -opaque, so calls into other modules are direct and small ones are
+# inlined, and the dev profile's warning spec, so warnings still fail
+# the build (see dune-workspace).  Run from the repository root:
+#   sh ci/check-build-flags.sh
+set -u
+spec='@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
+status=0
+for target in \
+  lib/sim/.sb_sim.objs/native/sb_sim__Perf.cmx \
+  lib/dbt/.sb_dbt.objs/native/sb_dbt__Dbt.cmx; do
+  if ! rules=$(dune rules "$target"); then
+    echo "check-build-flags: dune rules $target failed" >&2
+    exit 1
+  fi
+  args=$(printf '%s\n' "$rules" | tr -d ' ')
+  if printf '%s\n' "$args" | grep -qxF -e -opaque; then
+    echo "check-build-flags: $target is compiled with -opaque" >&2
+    status=1
+  fi
+  if ! printf '%s\n' "$args" | grep -qxF -e "$spec"; then
+    echo "check-build-flags: $target is not compiled with -w $spec" >&2
+    status=1
+  fi
+done
+[ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors"
+exit "$status"

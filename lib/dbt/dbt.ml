@@ -1056,15 +1056,40 @@ struct
 
   (* ---------------- dispatch loop -------------------------------------- *)
 
+  (* Stands for "no block" where an option would allocate on the dispatch
+     path: the previous block after an exception or interrupt, and a chain
+     probe that missed.  It is never valid, never chained from and never
+     dispatched. *)
+  let no_block =
+    {
+      key = -1;
+      va = -1;
+      end_va = -1;
+      mmu_on = false;
+      code = Ops [||];
+      insns = 0;
+      uops_total = 0;
+      page = -1;
+      page2 = -1;
+      chain_out = false;
+      valid = false;
+      chain_a = None;
+      chain_b = None;
+      hot = 0;
+      trace = None;
+    }
+
+  let chained ctx link pc mmu_on =
+    match link with
+    | Some (b, gen)
+      when gen = ctx.chain_gen && b.valid && b.va = pc && b.mmu_on = mmu_on ->
+      b
+    | _ -> no_block
+
+  (* The chained successor of [lb] for [pc], or [no_block]. *)
   let chain_candidate ctx (lb : block) pc mmu_on =
-    let matches = function
-      | Some (b, gen) when gen = ctx.chain_gen && b.valid && b.va = pc && b.mmu_on = mmu_on ->
-        Some b
-      | _ -> None
-    in
-    match matches lb.chain_a with
-    | Some _ as hit -> hit
-    | None -> matches lb.chain_b
+    let b = chained ctx lb.chain_a pc mmu_on in
+    if b != no_block then b else chained ctx lb.chain_b pc mmu_on
 
   let chain_install ctx (lb : block) (b : block) =
     let same_page = lb.va lsr page_shift = b.va lsr page_shift in
@@ -1319,7 +1344,7 @@ struct
   let live_trace ctx (blk : block) =
     match blk.trace with
     | None -> None
-    | Some tr when tr.t_valid && tr.t_gen = ctx.chain_gen -> Some tr
+    | Some tr as live when tr.t_valid && tr.t_gen = ctx.chain_gen -> live
     | Some tr ->
       invalidate_trace ctx tr;
       blk.trace <- None;
@@ -1366,45 +1391,45 @@ struct
      the operation-density metric) is exactly what block-by-block execution
      would report.  Every seam check fires only at an architecturally clean
      boundary — pc is correct (or restored, for elided seams) whenever the
-     trace can exit.  Returns the block of the last completed segment so
-     normal chain dispatch resumes from it. *)
-  let run_trace ctx (tr : trace) =
-    Perf.incr ctx.perf Perf.Trace_dispatches;
+     trace can exit.  [run_segs] runs segment [s] onwards and returns the
+     index of the last one completed; [run_trace] returns that segment's
+     block so normal chain dispatch resumes from it. *)
+  let rec run_segs ctx (tr : trace) s =
     let cpu = ctx.cpu in
     let segs = tr.t_segs in
-    let n = Array.length segs in
-    let rec go s =
-      let seg = Array.unsafe_get segs s in
-      ctx.cur_page <- seg.s_page;
-      ctx.cur_page2 <- seg.s_page2;
-      cpu.Cpu.pc <- seg.s_end_va;
-      exec_code ctx seg.s_code;
-      retire ctx seg.s_insns;
-      Perf.add ctx.perf Perf.Uops seg.s_uops;
-      if s + 1 >= n then s
-      else begin
-        (* a store inside this segment may have invalidated a later
-           constituent's page, and (in principle) an op may have bumped the
-           generation: both force an exit before stale code can run *)
-        let live = tr.t_valid && ctx.chain_gen = tr.t_gen in
-        let nxt = Array.unsafe_get segs (s + 1) in
-        if seg.s_uncond then
-          if live then go (s + 1)
-          else begin
-            (* the elided seam branch never wrote pc; restore the
-               architectural target before falling back to dispatch *)
-            cpu.Cpu.pc <- nxt.s_va;
-            Perf.incr ctx.perf Perf.Trace_side_exits;
-            s
-          end
-        else if live && cpu.Cpu.pc = nxt.s_va then go (s + 1)
+    let seg = Array.unsafe_get segs s in
+    ctx.cur_page <- seg.s_page;
+    ctx.cur_page2 <- seg.s_page2;
+    cpu.Cpu.pc <- seg.s_end_va;
+    exec_code ctx seg.s_code;
+    retire ctx seg.s_insns;
+    Perf.add ctx.perf Perf.Uops seg.s_uops;
+    if s + 1 >= Array.length segs then s
+    else begin
+      (* a store inside this segment may have invalidated a later
+         constituent's page, and (in principle) an op may have bumped the
+         generation: both force an exit before stale code can run *)
+      let live = tr.t_valid && ctx.chain_gen = tr.t_gen in
+      let nxt = Array.unsafe_get segs (s + 1) in
+      if seg.s_uncond then
+        if live then run_segs ctx tr (s + 1)
         else begin
+          (* the elided seam branch never wrote pc; restore the
+             architectural target before falling back to dispatch *)
+          cpu.Cpu.pc <- nxt.s_va;
           Perf.incr ctx.perf Perf.Trace_side_exits;
           s
         end
+      else if live && cpu.Cpu.pc = nxt.s_va then run_segs ctx tr (s + 1)
+      else begin
+        Perf.incr ctx.perf Perf.Trace_side_exits;
+        s
       end
-    in
-    Array.unsafe_get tr.t_blocks (go 0)
+    end
+
+  let run_trace ctx (tr : trace) =
+    Perf.incr ctx.perf Perf.Trace_dispatches;
+    Array.unsafe_get tr.t_blocks (run_segs ctx tr 0)
 
   (* Leaving at a switch point.  The DBT honours switch requests at
      block/trace boundaries (the same granularity as interrupt delivery),
@@ -1432,7 +1457,7 @@ struct
 
   let execute ctx ~max_insns =
     let cpu = ctx.cpu in
-    let last : block option ref = ref None in
+    let last = ref no_block in
     let benchdev = ctx.machine.Machine.benchdev in
     try
       while Perf.get ctx.perf Perf.Insns < max_insns do
@@ -1441,27 +1466,30 @@ struct
           sync_state ctx;
           deliver ctx ~vector:Exn.Irq ~cause:Exn.Cause.irq ~far:None
             ~return_addr:cpu.Cpu.pc;
-          last := None
+          last := no_block
         end
         else begin
           try
             let pc = cpu.Cpu.pc in
+            let lb = !last in
             let blk =
-              match !last with
-              | Some lb when cfg.Config.chain_direct && lb.chain_out -> (
-                match chain_candidate ctx lb pc (Cpu.mmu_enabled cpu) with
-                | Some b ->
+              if cfg.Config.chain_direct && lb.chain_out then begin
+                let b = chain_candidate ctx lb pc (Cpu.mmu_enabled cpu) in
+                if b != no_block then begin
                   Perf.incr ctx.perf Perf.Chain_follows;
                   chain_verify ctx b;
                   b
-                | None ->
+                end
+                else begin
                   let b = lookup_translate ctx pc in
                   chain_install ctx lb b;
-                  b)
-              | _ -> lookup_translate ctx pc
+                  b
+                end
+              end
+              else lookup_translate ctx pc
             in
             (match if tracing then live_trace ctx blk else None with
-            | Some tr -> last := Some (run_trace ctx tr)
+            | Some tr -> last := run_trace ctx tr
             | None ->
               (if tracing && blk.chain_out then
                  match blk.trace with
@@ -1478,16 +1506,16 @@ struct
               exec_code ctx blk.code;
               retire ctx blk.insns;
               Perf.add ctx.perf Perf.Uops blk.uops_total;
-              last := Some blk)
+              last := blk)
           with
           | Guest_fault { vector; cause; far; return_addr; retired } ->
             retire ctx retired;
             deliver ctx ~vector ~cause ~far ~return_addr;
-            last := None
+            last := no_block
           | Smc_restart { resume_va; retired } ->
             retire ctx retired;
             cpu.Cpu.pc <- resume_va;
-            last := None
+            last := no_block
           | Stop_in_block { reason; retired } ->
             retire ctx retired;
             raise (Stop reason)

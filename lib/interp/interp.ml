@@ -459,9 +459,17 @@ struct
       | `Deadlock -> raise (Stop Run_result.Wfi_deadlock))
     | Uop.Halt -> raise (Stop Run_result.Halted)
 
+  (* a loop rather than [List.iter (exec_uop ctx d)], whose partial
+     application allocates a closure per instruction *)
+  let rec exec_uops ctx d = function
+    | [] -> ()
+    | uop :: rest ->
+      exec_uop ctx d uop;
+      exec_uops ctx d rest
+
   let exec_insn ctx (d : Uop.decoded) =
     ctx.cpu.Cpu.pc <- (d.Uop.addr + d.Uop.length) land 0xFFFF_FFFF;
-    List.iter (exec_uop ctx d) d.uops;
+    exec_uops ctx d d.Uop.uops;
     Perf.incr ctx.perf Perf.Insns;
     Perf.add ctx.perf Perf.Uops (List.length d.uops)
 

@@ -29,7 +29,7 @@ let slot_index t ~vpn ~asid = (vpn lxor (asid * 0x9E3779B1)) land t.mask
 
 let lookup t ~vpn ~asid =
   match t.slots.(slot_index t ~vpn ~asid) with
-  | Some e when e.vpn = vpn && e.asid = asid -> Some e
+  | Some e as hit when e.vpn = vpn && e.asid = asid -> hit
   | _ -> None
 
 let probe t ~vpn ~asid =

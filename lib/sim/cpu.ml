@@ -39,7 +39,7 @@ let create () =
   reset t;
   t
 
-let mmu_enabled t =
+let[@inline] mmu_enabled t =
   t.cop.(Sb_isa.Cregs.sctlr) land Sb_isa.Cregs.sctlr_mmu_enable <> 0
 
 let bit b n = if b then 1 lsl n else 0

@@ -78,4 +78,4 @@ let reset t =
   Sb_mem.Benchdev.reset t.benchdev;
   touch t
 
-let irq_pending t = t.cpu.Cpu.irq_enabled && Sb_mem.Intc.asserted t.intc
+let[@inline] irq_pending t = t.cpu.Cpu.irq_enabled && Sb_mem.Intc.asserted t.intc

@@ -354,10 +354,13 @@ struct
     let arr =
       if ctx.cur_fetch_page = ppage then ctx.cur_fetch_arr
       else begin
+        (* [find] rather than [find_opt]: a loop that spans two code
+           pages switches pages every iteration, and a hit must not
+           allocate *)
         let arr =
-          match Hashtbl.find_opt ctx.decode_cache ppage with
-          | Some arr -> arr
-          | None ->
+          match Hashtbl.find ctx.decode_cache ppage with
+          | arr -> arr
+          | exception Not_found ->
             let arr = page_array () in
             Hashtbl.add ctx.decode_cache ppage arr;
             code_bit_set ctx ppage;
@@ -493,9 +496,17 @@ struct
       | `Deadlock -> raise (Stop Run_result.Wfi_deadlock))
     | Uop.Halt -> raise (Stop Run_result.Halted)
 
+  (* a loop rather than [List.iter (exec_uop ctx d)], whose partial
+     application allocates a closure per instruction *)
+  let rec exec_uops ctx d = function
+    | [] -> ()
+    | uop :: rest ->
+      exec_uop ctx d uop;
+      exec_uops ctx d rest
+
   let exec_insn ctx (d : Uop.decoded) =
     ctx.cpu.Cpu.pc <- (d.Uop.addr + d.Uop.length) land 0xFFFF_FFFF;
-    List.iter (exec_uop ctx d) d.Uop.uops;
+    exec_uops ctx d d.Uop.uops;
     Perf.incr ctx.perf Perf.Insns;
     Perf.add ctx.perf Perf.Uops (List.length d.Uop.uops)
 

@@ -834,7 +834,14 @@ let test_sigint_drains_gracefully () =
   wait_path path;
   let conn = connect_retry path in
   Fun.protect ~finally:(fun () -> Sb_serve.Client.close conn) @@ fun () ->
-  let cells = List.map (fun i -> spec ~iters:(60 + i) ()) [ 0; 1; 2 ] in
+  (* one worker runs the cells in order; the second is long (about half a
+     second on interp), so it is still running when the SIGINT sent on the
+     first row lands, and the third is still queued.  Three short cells
+     could all finish before the signal arrives, leaving nothing to
+     cancel. *)
+  let cells =
+    [ spec ~iters:60 (); spec ~iters:2_000_000 (); spec ~iters:62 () ]
+  in
   let statuses = ref [] in
   let interrupted = ref false in
   let on_row ~key:_ ~cached:_ cell =

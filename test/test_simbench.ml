@@ -546,6 +546,46 @@ let test_forked_worker_own_ram () =
   | _ -> Alcotest.fail "forked worker did not report");
   Alcotest.(check bool) "parent keeps its RAM" true (ram () == parent)
 
+(* The per-instruction and per-block paths of interp, native, virt and
+   both DBT backends (closure blocks at v1.7.0, threaded code with traces
+   at v2.7.0) must not allocate incidentally: no option per TLB or chain
+   hit, no closure per dispatch or per instruction.  Minor-heap words are
+   read around a run at N and at 2N iterations, so everything the two runs
+   share (machine build, set-up phase, translation) cancels and only the
+   kernel's marginal allocation per retired instruction is left.  The
+   residue under the bound is mostly the tuple that the loop counter's
+   flag-setting ALU op returns once per iteration.  The detailed model
+   allocates its pipeline events and exceptions allocate their records,
+   so neither is covered here. *)
+let test_kernel_minor_words () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let support = Simbench.Engines.support arch in
+  let n = 500 in
+  List.iter
+    (fun engine_name ->
+      let engine =
+        match Simbench.Engines.of_string arch engine_name with
+        | Ok e -> e
+        | Error msg -> Alcotest.fail msg
+      in
+      List.iter
+        (fun bench_name ->
+          let bench = Option.get (Simbench.Suite.find bench_name) in
+          let measure iters =
+            let w0 = Gc.minor_words () in
+            let o = H.run ~iters ~support ~engine bench in
+            (Gc.minor_words () -. w0, o.H.kernel_insns)
+          in
+          ignore (measure n);
+          let w1, i1 = measure n in
+          let w2, i2 = measure (2 * n) in
+          let per_insn = (w2 -. w1) /. float_of_int (i2 - i1) in
+          if per_insn > 0.5 then
+            Alcotest.failf "%s on %s: %.2f minor words per kernel instruction (bound 0.5)"
+              bench_name engine_name per_insn)
+        [ "Intra-Page Direct"; "Hot Memory Access" ])
+    [ "interp"; "native"; "virt"; "dbt@v1.7.0"; "dbt@v2.7.0" ]
+
 let () =
   Alcotest.run "simbench"
     [
@@ -591,5 +631,10 @@ let () =
             test_run_order_independence;
           Alcotest.test_case "forked worker builds its own RAM" `Quick
             test_forked_worker_own_ram;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "kernel minor words per instruction" `Quick
+            test_kernel_minor_words;
         ] );
     ]
