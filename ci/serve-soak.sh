@@ -3,8 +3,9 @@
 # concurrent clients submitting the same three-cell spec.  Asserts that
 # every client receives the complete row set with every cell ok, that the
 # shared content-addressed store deduplicated the overlap (24 cells
-# requested, at most 3 simulations run), and that SIGTERM drains the
-# daemon to a clean exit 0 with the listener socket unlinked.
+# requested, at most 3 simulations run), that no pool worker's peak
+# resident set exceeds 16 MiB, and that SIGTERM drains the daemon to a
+# clean exit 0 with the listener socket unlinked.
 #
 # Runs anywhere: bash ci/serve-soak.sh _build/default/bin/simbench_cli.exe
 set -euo pipefail
@@ -88,6 +89,31 @@ fi
 
 # the persistent store must scan clean while the daemon is live
 "$cli" fsck "$work/cache"
+
+# each pool worker (a child of the daemon) keeps its guest RAM and heap
+# between cells; guest RAM is resident only where a guest wrote it, so a
+# worker's peak resident set stays far below the 32 MiB RAM size
+if [ -r "/proc/$daemon/status" ]; then
+  workers=0
+  for status in /proc/[0-9]*/status; do
+    ppid=$(awk '/^PPid:/ {print $2}' "$status" 2>/dev/null) || continue
+    [ "$ppid" = "$daemon" ] || continue
+    hwm=$(awk '/^VmHWM:/ {print $2}' "$status" 2>/dev/null) || continue
+    [ -n "$hwm" ] || continue
+    pid=${status#/proc/}; pid=${pid%/status}
+    workers=$((workers + 1))
+    echo "pool worker $pid: VmHWM ${hwm} kB"
+    if [ "$hwm" -gt $((16 * 1024)) ]; then
+      echo "pool worker $pid peaked at ${hwm} kB resident (bound 16 MiB)" >&2
+      exit 1
+    fi
+  done
+  if [ "$workers" -eq 0 ]; then
+    echo "no pool worker of daemon $daemon found" >&2; exit 1
+  fi
+else
+  echo "skip: worker memory bound (no /proc/$daemon/status)"
+fi
 
 # graceful SIGTERM shutdown: drain, exit 0, unlink the socket
 kill -TERM "$daemon"

@@ -18,11 +18,14 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Benchmark_failed s)) fmt
 
 (* One guest RAM buffer per size, reused by every run in this process.
    Clearing it zeroes only the pages the last run wrote (the buffer's dirty
-   map), where a fresh one would cost a 32 MiB allocation and its page
-   faults, and each registry engine's cached session would keep its own
-   copy alive.  The pool belongs to the process that made it: a forked
-   worker sees its parent's table, so it starts its own rather than
-   writing into pages it shares copy-on-write. *)
+   map).  A fresh buffer would take a page fault on every page the run
+   touches, and a dropped one stays mapped, its written pages resident,
+   until a major collection finalises it: the GC does not count a mapping
+   outside its heap when it paces its cycles.  Each registry engine's
+   cached session would also keep its own copy alive.  The pool belongs to
+   the process that made it: a forked worker sees its parent's table, so
+   it starts its own rather than writing into pages it shares
+   copy-on-write. *)
 type ram_pool = { pid : int; rams : (int, Sb_mem.Phys_mem.t) Hashtbl.t }
 
 let ram_pool = ref { pid = Unix.getpid (); rams = Hashtbl.create 2 }

@@ -31,14 +31,17 @@ val machine : Platform.t -> Sb_sim.Machine.t
 (** A machine for [platform] built around this process's pooled RAM
     buffer of the platform's size, cleared first: the same state as
     {!Platform.machine} with a fresh CPU, bus and device set, without
-    allocating the RAM again.  The clear zeroes only the pages written
+    mapping the RAM again.  The clear zeroes only the pages written
     since the previous one ({!Sb_mem.Phys_mem.clear}), so it costs time in
     proportion to what the last run touched, not to the RAM size.  The
-    machine is valid until the next call in the process, which clears and
-    reuses the same buffer.  A forked child starts its own pool on its
-    first call and never writes into the buffer it shares copy-on-write
-    with its parent; a persistent pool worker then keeps that buffer for
-    every cell it runs. *)
+    buffer lives outside the OCaml heap and is resident only in the pages
+    some run in this process has written, so a process holds the union of
+    its runs' working sets, not the RAM size.  The machine is valid until
+    the next call in the process, which clears and reuses the same
+    buffer.  A forked child starts its own pool on its first call and
+    never writes into the buffer it shares copy-on-write with its parent;
+    a persistent pool worker then keeps that buffer for every cell it
+    runs. *)
 
 val run :
   ?platform:Platform.t ->

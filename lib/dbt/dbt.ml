@@ -415,20 +415,9 @@ struct
       let read_rm = match rm with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
       match rd with
       | Some rd ->
-        fun () ->
-          let result, n, z, c, v = Alu_eval.eval_flags op (read_rn ()) (read_rm ()) in
-          cpu.Cpu.flag_n <- n;
-          cpu.Cpu.flag_z <- z;
-          cpu.Cpu.flag_c <- c;
-          cpu.Cpu.flag_v <- v;
-          regs.(rd) <- result
+        fun () -> regs.(rd) <- Alu_eval.eval_set_flags cpu op (read_rn ()) (read_rm ())
       | None ->
-        fun () ->
-          let _, n, z, c, v = Alu_eval.eval_flags op (read_rn ()) (read_rm ()) in
-          cpu.Cpu.flag_n <- n;
-          cpu.Cpu.flag_z <- z;
-          cpu.Cpu.flag_c <- c;
-          cpu.Cpu.flag_v <- v
+        fun () -> ignore (Alu_eval.eval_set_flags cpu op (read_rn ()) (read_rm ()) : int)
     end
     else
       match rd with

@@ -543,15 +543,11 @@ let prepare h (p : program) =
            (ld a b (g (ip + 3)) (g (ip + 4)))
            (ld a b (g (ip + 5)) (g (ip + 6))))
     | 22 (* FLAGS *) ->
-      let result, n, z, c, v =
-        Alu_eval.eval_flags (alu_of_code (g (ip + 1)))
+      let result =
+        Alu_eval.eval_set_flags cpu (alu_of_code (g (ip + 1)))
           (ld a b (g (ip + 4)) (g (ip + 5)))
           (ld a b (g (ip + 6)) (g (ip + 7)))
       in
-      cpu.Cpu.flag_n <- n;
-      cpu.Cpu.flag_z <- z;
-      cpu.Cpu.flag_c <- c;
-      cpu.Cpu.flag_v <- v;
       if g (ip + 2) = 0 then go (ip + 8) a b
       else wr (ip + 8) a b (g (ip + 3)) result
     | 23 (* LD8P *) ->

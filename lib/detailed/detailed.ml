@@ -214,11 +214,7 @@ module Make (A : Arch_sig.ARCH) = struct
       let a = operand ctx rn in
       let b = operand ctx rm in
       if set_flags then begin
-        let result, n, z, c, v = Alu_eval.eval_flags op a b in
-        cpu.Cpu.flag_n <- n;
-        cpu.Cpu.flag_z <- z;
-        cpu.Cpu.flag_c <- c;
-        cpu.Cpu.flag_v <- v;
+        let result = Alu_eval.eval_set_flags cpu op a b in
         match rd with Some rd -> cpu.Cpu.regs.(rd) <- result | None -> ()
       end
       else begin

@@ -5,6 +5,14 @@
     so in a correctly configured machine this exception indicates a simulator
     bug rather than a guest fault.
 
+    The bytes live outside the OCaml heap, in a private mapping of
+    [/dev/zero], as full-system simulators back guest RAM with an
+    anonymous host mapping: a page costs host memory only once a write
+    touches it, and the GC neither scans the RAM nor paces its cycles
+    against it.  Where [/dev/zero] cannot be opened or mapped, {!create}
+    falls back to an ordinary zero-filled bigarray, which behaves the
+    same but is resident from the start.
+
     Power-of-two sizes get a single-compare bounds test (one [land] against
     the high-bit mask covers negative addresses and overruns at once); other
     sizes fall back to the two-compare form.
@@ -21,7 +29,8 @@ type t
 exception Out_of_range of int
 
 val create : size:int -> t
-(** Fresh zero-filled memory of [size] bytes, with no page marked. *)
+(** Fresh zero-filled memory of [size] bytes, with no page marked.  The
+    OCaml heap grows by the dirty map only (one byte per page). *)
 
 val size : t -> int
 
@@ -52,7 +61,8 @@ val unsafe_write16 : t -> int -> int -> unit
 val unsafe_write32 : t -> int -> int -> unit
 
 val load : t -> addr:int -> Bytes.t -> unit
-(** Copy an image into memory at [addr], marking every page it covers. *)
+(** Copy an image into memory at [addr], marking every page it covers.
+    Only reads [image]. *)
 
 val blit_out : t -> addr:int -> len:int -> Bytes.t
 (** Copy [len] bytes starting at [addr] out of memory. *)

@@ -158,10 +158,13 @@ let restore ?(validated = false) t (m : Machine.t) =
     (min (Array.length t.s_cpu.s_cop) (Array.length cpu.Cpu.cop));
   let ram = Sb_mem.Bus.ram m.Machine.bus in
   Sb_mem.Phys_mem.clear ram;
+  (* [load] only reads its image, so the page goes in without a copy: a
+     copy per page would be a 4 KiB major-heap block each, about a
+     megaword of garbage per mcf restore *)
   List.iter
     (fun (idx, data) ->
       Sb_mem.Phys_mem.load ram ~addr:(idx * page_size)
-        (Bytes.of_string data))
+        (Bytes.unsafe_of_string data))
     t.s_pages;
   Sb_mem.Uart.restore m.Machine.uart t.s_devices.s_uart;
   Sb_mem.Intc.restore m.Machine.intc t.s_devices.s_intc;

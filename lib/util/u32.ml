@@ -26,19 +26,6 @@ let shift_right_arith x n =
 let lt_signed a b = to_signed a < to_signed b
 let lt_unsigned a b = of_int a < of_int b
 
-let add_with_flags a b =
-  let wide = of_int a + of_int b in
-  let result = wide land mask in
-  let carry = wide > mask in
-  let overflow = to_signed a + to_signed b <> to_signed result in
-  (result, carry, overflow)
-
-let sub_with_flags a b =
-  let result = (a - b) land mask in
-  let borrow = of_int a < of_int b in
-  let overflow = to_signed a - to_signed b <> to_signed result in
-  (result, borrow, overflow)
-
 let sign_extend ~bits v =
   let v = v land ((1 lsl bits) - 1) in
   if v land (1 lsl (bits - 1)) <> 0 then (v - (1 lsl bits)) land mask else v

@@ -31,13 +31,6 @@ val shift_right_arith : int -> int -> int
 val lt_signed : int -> int -> bool
 val lt_unsigned : int -> int -> bool
 
-val add_with_flags : int -> int -> int * bool * bool
-(** [add_with_flags a b] is [(result, carry, overflow)]. *)
-
-val sub_with_flags : int -> int -> int * bool * bool
-(** [sub_with_flags a b] is [(result, borrow, overflow)] where [borrow] is
-    the inverted ARM-style carry (set when [a < b] unsigned). *)
-
 val sign_extend : bits:int -> int -> int
 (** [sign_extend ~bits v] sign-extends the low [bits] bits of [v] into a u32. *)
 

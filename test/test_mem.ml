@@ -246,6 +246,49 @@ let test_phys_mem_clear_marks () =
   Sb_mem.Phys_mem.load m ~addr:page Bytes.empty;
   check_clear "empty load"
 
+(* Guest RAM lives outside the OCaml heap and costs host memory only for
+   the pages a guest touches: a 32 MiB memory grows the major heap by its
+   dirty map alone, and the resident set by the three pages written. *)
+let ram_size = 32 * 1024 * 1024
+
+let test_phys_mem_off_heap () =
+  let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
+  let before = heap_words () in
+  let m = Sb_mem.Phys_mem.create ~size:ram_size in
+  let grown = heap_words () - before in
+  if grown >= 64 * 1024 then
+    Alcotest.failf "a 32 MiB memory grew the major heap by %d words" grown;
+  Alcotest.(check int) "size" ram_size (Sb_mem.Phys_mem.size (Sys.opaque_identity m))
+
+let vm_rss_kib () =
+  In_channel.with_open_text "/proc/self/status" (fun ic ->
+      let rec scan () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.fail "no VmRSS line in /proc/self/status"
+        | Some line -> (
+          match Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id with
+          | Some kib -> kib
+          | None -> scan ())
+      in
+      scan ())
+
+let test_phys_mem_resident_on_touch () =
+  if not (Sys.file_exists "/proc/self/status") then
+    print_endline "skipped: no /proc/self/status on this host"
+  else begin
+    let before = vm_rss_kib () in
+    let m = Sb_mem.Phys_mem.create ~size:ram_size in
+    List.iter
+      (fun addr -> Sb_mem.Phys_mem.write32 m addr 0xDEADBEEF)
+      [ 0; ram_size / 2; ram_size - 4 ];
+    let grown = vm_rss_kib () - before in
+    if grown >= 4 * 1024 then
+      Alcotest.failf "a 32 MiB memory with three pages written grew VmRSS by %d KiB"
+        grown;
+    Alcotest.(check int) "written word" 0xDEADBEEF
+      (Sb_mem.Phys_mem.read32 m (ram_size / 2))
+  end
+
 let test_bus_ram_dispatch () =
   let machine = make_machine () in
   let bus = machine.Sb_sim.Machine.bus in
@@ -390,6 +433,9 @@ let () =
           Alcotest.test_case "is_zero windows" `Quick test_phys_mem_is_zero;
           Alcotest.test_case "clear after every write path" `Quick
             test_phys_mem_clear_marks;
+          Alcotest.test_case "guest RAM off the heap" `Quick test_phys_mem_off_heap;
+          Alcotest.test_case "guest RAM resident on touch" `Quick
+            test_phys_mem_resident_on_touch;
         ] );
       ( "bus",
         [

@@ -113,21 +113,42 @@ let test_alu_eval () =
   Alcotest.(check int) "add wraps" 0 (Alu.eval Uop.Add 0xFFFF_FFFF 1);
   Alcotest.(check int) "mul wraps" 0xFFFFFFFE (Alu.eval Uop.Mul 0xFFFF_FFFF 2);
   Alcotest.(check int) "asr" 0xFFFF_FFFF (Alu.eval Uop.Asr 0x8000_0000 31);
-  let _, n, z, c, v = Alu.eval_flags Uop.Sub 5 5 in
+  let cpu = Cpu.create () in
+  (* [(result, n, z, c, v)] left in [cpu] by one flag-setting op *)
+  let flags op a b =
+    let result = Alu.eval_set_flags cpu op a b in
+    Cpu.(result, cpu.flag_n, cpu.flag_z, cpu.flag_c, cpu.flag_v)
+  in
+  let _, n, z, c, v = flags Uop.Sub 5 5 in
   Alcotest.(check bool) "z on equal" true z;
   Alcotest.(check bool) "c set (no borrow)" true c;
   Alcotest.(check bool) "n clear" false n;
   Alcotest.(check bool) "v clear" false v;
-  let _, n, _, c, _ = Alu.eval_flags Uop.Sub 3 5 in
+  let _, n, _, c, _ = flags Uop.Sub 3 5 in
   Alcotest.(check bool) "borrow clears c" false c;
   Alcotest.(check bool) "negative sets n" true n;
-  let _, _, _, c, v = Alu.eval_flags Uop.Add 0x7FFF_FFFF 1 in
+  let r, _, _, c, _ = flags Uop.Sub 0 1 in
+  Alcotest.(check int) "sub borrow result" 0xFFFF_FFFF r;
+  Alcotest.(check bool) "sub borrow" false c;
+  let r, n, _, c, v = flags Uop.Add 0x7FFF_FFFF 1 in
+  Alcotest.(check int) "add ovf result" 0x8000_0000 r;
   Alcotest.(check bool) "signed overflow" true v;
   Alcotest.(check bool) "no carry" false c;
-  (* logical ops clear c/v *)
-  let _, _, _, c, v = Alu.eval_flags Uop.And_ 0xF 0xF0 in
+  Alcotest.(check bool) "overflow sets n" true n;
+  let r, _, z, c, v = flags Uop.Add 0xFFFF_FFFF 1 in
+  Alcotest.(check int) "add carry result" 0 r;
+  Alcotest.(check bool) "add carry" true c;
+  Alcotest.(check bool) "add no ovf" false v;
+  Alcotest.(check bool) "carry out to zero sets z" true z;
+  (* logical ops clear c/v, whatever the previous op left *)
+  let _, _, _, c, v = flags Uop.And_ 0xF 0xF0 in
   Alcotest.(check bool) "and clears c" false c;
-  Alcotest.(check bool) "and clears v" false v
+  Alcotest.(check bool) "and clears v" false v;
+  ignore (flags Uop.Add 0x7FFF_FFFF 1);
+  let r, _, _, c, v = flags Uop.Orr 0xF 0xF0 in
+  Alcotest.(check int) "orr result" 0xFF r;
+  Alcotest.(check bool) "orr clears v" false v;
+  Alcotest.(check bool) "orr clears c" false c
 
 let test_eval_cond_matrix () =
   let open Uop in

@@ -284,6 +284,29 @@ let test_save_scan_matches_reference () =
   Alcotest.(check bool) "mcf's working set is resident" true
     (List.length pages > 100)
 
+(* A warm restore writes each page of the snapshot into RAM as it is:
+   mcf's kernel-phase snapshot holds over 2000 pages, and a 4 KiB copy of
+   each would go straight to the major heap, about a megaword a restore. *)
+let test_restore_no_page_garbage () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let support = Simbench.Engines.support arch in
+  let m = machine_for ~support ~bench:W.mcf.W.bench ~iters:2 in
+  let snap =
+    Checkpoint.run_to_point
+      ~setup_engine:(Simbench.Engines.interp arch)
+      ~point:Checkpoint.Kernel_phase m
+  in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  Snapshot.restore ~validated:true snap m;
+  let words = major_words () -. before in
+  if words >= 65536. then
+    Alcotest.failf "a restore of %d pages allocated %.0f major-heap words"
+      (List.length snap.Snapshot.s_pages) words
+
 (* ------------------------------------------------------------------ *)
 (* Corruption: tampered snapshots and damaged checkpoint files          *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +569,8 @@ let () =
             test_verify_snapshot_diff;
           Alcotest.test_case "save scan = byte-by-byte reference" `Quick
             test_save_scan_matches_reference;
+          Alcotest.test_case "restore makes no per-page garbage" `Quick
+            test_restore_no_page_garbage;
         ] );
       ( "store",
         [

@@ -17,18 +17,6 @@ let test_u32_shifts () =
   Alcotest.(check int) "asr sign" 0xFFFF_FFFF (Sb_util.U32.shift_right_arith 0x8000_0000 31);
   Alcotest.(check int) "asr cap" 0xFFFF_FFFF (Sb_util.U32.shift_right_arith 0x8000_0000 63)
 
-let test_u32_flags () =
-  let r, c, v = Sb_util.U32.add_with_flags 0xFFFF_FFFF 1 in
-  Alcotest.(check int) "add carry result" 0 r;
-  Alcotest.(check bool) "add carry" true c;
-  Alcotest.(check bool) "add no ovf" false v;
-  let r, c, v = Sb_util.U32.add_with_flags 0x7FFF_FFFF 1 in
-  Alcotest.(check int) "add ovf result" 0x8000_0000 r;
-  Alcotest.(check bool) "add no carry" false c;
-  Alcotest.(check bool) "add ovf" true v;
-  let _, borrow, _ = Sb_util.U32.sub_with_flags 0 1 in
-  Alcotest.(check bool) "sub borrow" true borrow
-
 let test_sign_extend () =
   Alcotest.(check int) "positive" 5 (Sb_util.U32.sign_extend ~bits:14 5);
   Alcotest.(check int) "negative" 0xFFFF_FFFF (Sb_util.U32.sign_extend ~bits:14 0x3FFF);
@@ -121,7 +109,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_u32_basics;
           Alcotest.test_case "shifts" `Quick test_u32_shifts;
-          Alcotest.test_case "flags" `Quick test_u32_flags;
           Alcotest.test_case "sign_extend" `Quick test_sign_extend;
         ]
         @ qcheck [ prop_u32_add_assoc; prop_u32_roundtrip_signed ] );
