@@ -17,6 +17,29 @@ let test_u32_shifts () =
   Alcotest.(check int) "asr sign" 0xFFFF_FFFF (Sb_util.U32.shift_right_arith 0x8000_0000 31);
   Alcotest.(check int) "asr cap" 0xFFFF_FFFF (Sb_util.U32.shift_right_arith 0x8000_0000 63)
 
+(* Carry, overflow and borrow of u32 add and sub, as the ALU computes
+   them into a CPU's C and V flags (for sub, C is the inverted borrow). *)
+let test_u32_flags () =
+  let cpu = Sb_sim.Cpu.create () in
+  let with_flags op a b =
+    let r = Sb_sim.Alu_eval.eval_set_flags cpu op a b in
+    (r, cpu.Sb_sim.Cpu.flag_c, cpu.Sb_sim.Cpu.flag_v)
+  in
+  let r, c, v = with_flags Sb_isa.Uop.Add 0xFFFF_FFFF 1 in
+  Alcotest.(check int) "add carry result" 0 r;
+  Alcotest.(check bool) "add carry" true c;
+  Alcotest.(check bool) "add no ovf" false v;
+  let r, c, v = with_flags Sb_isa.Uop.Add 0x7FFF_FFFF 1 in
+  Alcotest.(check int) "add ovf result" 0x8000_0000 r;
+  Alcotest.(check bool) "add no carry" false c;
+  Alcotest.(check bool) "add ovf" true v;
+  let _, c, _ = with_flags Sb_isa.Uop.Sub 0 1 in
+  Alcotest.(check bool) "sub borrow" false c;
+  let r, c, v = with_flags Sb_isa.Uop.Sub 0x8000_0000 1 in
+  Alcotest.(check int) "sub ovf result" 0x7FFF_FFFF r;
+  Alcotest.(check bool) "sub no borrow" true c;
+  Alcotest.(check bool) "sub ovf" true v
+
 let test_sign_extend () =
   Alcotest.(check int) "positive" 5 (Sb_util.U32.sign_extend ~bits:14 5);
   Alcotest.(check int) "negative" 0xFFFF_FFFF (Sb_util.U32.sign_extend ~bits:14 0x3FFF);
@@ -109,6 +132,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_u32_basics;
           Alcotest.test_case "shifts" `Quick test_u32_shifts;
+          Alcotest.test_case "flags" `Quick test_u32_flags;
           Alcotest.test_case "sign_extend" `Quick test_sign_extend;
         ]
         @ qcheck [ prop_u32_add_assoc; prop_u32_roundtrip_signed ] );
