@@ -1120,21 +1120,27 @@ struct
         | (Uop.Svc _ | Uop.Undef | Uop.Eret | Uop.Wfi | Uop.Halt) :: _ -> Seam_stop
         | _ -> Seam_fallthrough)
 
-  (* The predicted path out of [b0]: follow [chain_a] links under exactly
-     the rules dispatch itself uses (current generation, still valid, same
-     translation regime; cross-page links only exist if the configuration
-     allowed installing them).  Stops at loops back into the trace. *)
+  (* The block a trace from [b0] continues with after [b], or [no_block]:
+     the [chain_a] link, under exactly the rules dispatch itself uses
+     (current generation, still valid, same translation regime; cross-page
+     links only exist if the configuration allowed installing them). *)
+  let trace_successor ctx (b0 : block) (b : block) =
+    match b.chain_a with
+    | Some (nxt, gen)
+      when gen = ctx.chain_gen && nxt.valid && nxt.mmu_on = b0.mmu_on ->
+      nxt
+    | _ -> no_block
+
+  (* The predicted path out of [b0].  Stops at loops back into the
+     trace. *)
   let collect_trace_blocks ctx (b0 : block) =
     let rec go acc b n =
       if n >= cfg.Config.max_trace_blocks then List.rev acc
       else
-        match b.chain_a with
-        | Some (nxt, gen)
-          when gen = ctx.chain_gen && nxt.valid
-               && nxt.mmu_on = b0.mmu_on
-               && not (List.memq nxt acc) ->
+        let nxt = trace_successor ctx b0 b in
+        if nxt != no_block && not (List.memq nxt acc) then
           go (nxt :: acc) nxt (n + 1)
-        | _ -> List.rev acc
+        else List.rev acc
     in
     go [ b0 ] b0 1
 
@@ -1146,7 +1152,7 @@ struct
      architectural branch counts are identical to block-by-block execution;
      conditional seams keep the full branch and the runtime compares pc
      against the next segment's entry, side-exiting on mismatch. *)
-  let form_trace ctx (b0 : block) =
+  let stitch_trace ctx (b0 : block) =
     match
       let blocks = collect_trace_blocks ctx b0 in
       (* decode and classify; keep the longest stitchable prefix *)
@@ -1327,6 +1333,12 @@ struct
          rotated duplicates of the same loop *)
       Array.iteri (fun i (b : block) -> if i > 0 then b.hot <- 0) tr.t_blocks;
       Some tr
+
+  (* Most attempts find no successor at all: say so before building the
+     block list, so a failed attempt allocates nothing. *)
+  let form_trace ctx (b0 : block) =
+    let first = trace_successor ctx b0 b0 in
+    if first == no_block || first == b0 then None else stitch_trace ctx b0
 
   (* A trace is dispatched only while its generation matches; a stale or
      invalidated trace is detached here so the block can re-profile. *)

@@ -1,4 +1,5 @@
-(** Detailed (timing) interpreter engine — the Gem5 analog.
+(** Detailed (timing) interpreter engine — the Gem5 analog, an
+    instantiation of {!Sb_interp.Core} with the [Detailed] technique.
 
     Figure 4 row: interpreter execution model, modelled TLB, no code
     generation, interpreted control flow, interrupts at instruction
@@ -11,21 +12,6 @@
     property tests enforce it — but the engine additionally produces a cycle
     count, and the modelling work makes it one to two orders of magnitude
     slower to host-execute, exactly the trade the paper measures. *)
-
-module Timing : sig
-  type t = {
-    fetch_latency : int;
-    decode_latency : int;
-    execute_latency : int;
-    mul_latency : int;
-    cache_hit_latency : int;
-    cache_miss_latency : int;
-    walk_level_latency : int;
-    exception_latency : int;
-  }
-
-  val default : t
-end
 
 module Make (A : Sb_isa.Arch_sig.ARCH) : sig
   include Sb_sim.Engine.ENGINE

@@ -1,0 +1,48 @@
+(** The interpretive core behind the fast interpreter ({!Interp}), the
+    direct-execution engines ([Sb_virt.Virt]) and the detailed timing model
+    ([Sb_detailed.Detailed]).
+
+    One copy of the guest semantics serves all four: micro-op execution,
+    faults, physical memory access, self-modifying-code invalidation,
+    exception delivery, batched timer ticks, phase synchronisation and the
+    per-machine session.  The engines differ only by technique, as the
+    paper's Figure 4 tells them apart:
+
+    {v
+    engine    translation                fetch                            trap cost
+    interp    modelled unified TLB       front cache over predecoded      direct
+                                         pages
+    virt      flat tagged host TLB       current-page fetch over          vm-exit rounds
+                                         predecoded pages
+    native    flat tagged host TLB       current-page fetch               direct
+    detailed  split untagged TLBs        a decode on every fetch,         direct
+                                         through a five-stage pipeline
+    v}
+
+    Counters follow the technique: [Tlb_hit]/[Tlb_miss] only with a
+    modelled TLB, [Front_cache_hits] and the cross-page branch counters
+    only on the fast interpreter, [Vm_exits] only when exits cost rounds.
+    Every abort returns to the faulting instruction. *)
+
+type technique =
+  | Fast_interp of { predecode : bool }
+      (** without [predecode], a decode on every fetch and no front
+          cache *)
+  | Direct of { vm_exit_rounds : int }
+      (** state save/restore rounds per vm-exit; 0 takes none *)
+  | Detailed
+      (** cycles from a discrete-event pipeline with modelled L1 caches *)
+
+module type CONFIG = sig
+  val name : string
+  val features : (string * string) list
+  val technique : technique
+end
+
+module Make (A : Sb_isa.Arch_sig.ARCH) (C : CONFIG) : sig
+  include Sb_sim.Engine.ENGINE
+
+  val last_cycles : unit -> int
+  (** Simulated cycles of the most recent [run] under [Detailed]; 0 under
+      the other techniques. *)
+end

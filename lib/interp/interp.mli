@@ -1,8 +1,11 @@
-(** Fast interpreter engine (the SimIt-ARM analog).
+(** Fast interpreter engine (the SimIt-ARM analog), an instantiation of
+    {!Core}.
 
     Implementation techniques, mirroring the paper's Figure 4 row:
     - execution model: pre-decoded interpretation (a per-physical-page
-      decode cache avoids re-decoding hot code);
+      decode cache avoids re-decoding hot code, and a direct-mapped fetch
+      front cache from virtual page to predecoded page skips the TLB probe
+      for fetches that stay on a recently fetched page);
     - memory access: single-level page cache (one unified software TLB);
     - no code generation;
     - control flow: interpreted (every branch re-enters the dispatch loop);
@@ -10,21 +13,12 @@
     - synchronous exceptions interpreted directly.
 
     Self-modifying code is handled with a per-page code bitmap: a store to a
-    page holding pre-decoded instructions drops that page's decode cache. *)
+    page holding pre-decoded instructions clears that page's decode cache. *)
 
 module Make (A : Sb_isa.Arch_sig.ARCH) : Sb_sim.Engine.ENGINE
 
 module Config : sig
-  type t = {
-    tlb_entries : int;      (** unified TLB size (power of two) *)
-    predecode : bool;       (** false degrades to decode-every-time *)
-    front_cache : bool;
-        (** direct-mapped (virtual page -> predecode array) cache in front
-            of the TLB probe and decode-cache lookup; invalidated by the
-            same translation-change events that flush the TLB, and immune
-            to self-modifying code because SMC clears the predecode arrays
-            in place.  Off only for ablation. *)
-  }
+  type t = { predecode : bool  (** false degrades to decode-every-time *) }
 
   val default : t
 end
@@ -32,5 +26,5 @@ end
 module Make_configured (A : Sb_isa.Arch_sig.ARCH) (C : sig
   val config : Config.t
 end) : Sb_sim.Engine.ENGINE
-(** Ablation entry point: the TLB-geometry and pre-decode sweeps build
-    engines with non-default configurations. *)
+(** Ablation entry point: the pre-decode sweep builds an engine that
+    decodes on every fetch. *)

@@ -1,7 +1,7 @@
 (** Software TLB: a direct-mapped cache of 4 KiB translations.
 
-    Engines keep one (or several, for split I/D) of these.  Geometry is set
-    at creation so the TLB ablation bench can sweep sizes.  Entries carry the
+    Engines keep one (or several, for split I/D) of these and count hits
+    and misses in their own performance counters.  Entries carry the
     walk attributes; permission checks happen on every lookup, so a single
     entry serves both privilege levels safely.
 
@@ -24,13 +24,7 @@ type t
 val create : entries:int -> t
 (** [entries] must be a power of two. *)
 
-val entries : t -> int
-
 val lookup : t -> vpn:int -> asid:int -> entry option
-(** Does not update hit/miss statistics; use [probe] in engine paths. *)
-
-val probe : t -> vpn:int -> asid:int -> entry option
-(** Like [lookup] but counts a hit or a miss. *)
 
 val insert : t -> entry -> unit
 
@@ -39,10 +33,3 @@ val invalidate_page : t -> vpn:int -> asid:int -> unit
     mappings shared across address spaces must use a full flush. *)
 
 val flush : t -> unit
-
-val hits : t -> int
-val misses : t -> int
-val flushes : t -> int
-val page_invalidations : t -> int
-
-val reset_stats : t -> unit

@@ -75,8 +75,7 @@ let virt rounds () : Sb_sim.Engine.t =
   | Sb_isa.Arch_sig.Vlx -> assert false
 
 let interp predecode () =
-  Simbench.Engines.interp_configured arch
-    { Sb_interp.Interp.Config.default with Sb_interp.Interp.Config.predecode }
+  Simbench.Engines.interp_configured arch { Sb_interp.Interp.Config.predecode }
 
 let all =
   [

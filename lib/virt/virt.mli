@@ -1,7 +1,8 @@
 (** Direct-execution engines: the hardware-assisted-virtualization (QEMU-KVM)
-    analog and the native-hardware baseline.
+    analog and the native-hardware baseline, both instantiations of
+    {!Sb_interp.Core} with the [Direct] technique.
 
-    Both engines share the same direct-execution core: guest translations
+    Both engines share the same direct-execution technique: guest translations
     are resolved through a flat, hardware-style translation cache covering
     the whole address space (no geometry conflicts, no software-TLB
     evictions), code is executed from pre-decoded pages, and there is no

@@ -1,7 +1,7 @@
 (* Unit tests for the detailed engine's timing substrates. *)
 
-module Eq = Sb_detailed.Event_queue
-module Cache = Sb_detailed.Cache_model
+module Eq = Sb_interp.Event_queue
+module Cache = Sb_interp.Cache_model
 
 let test_event_queue_order () =
   let q = Eq.create () in

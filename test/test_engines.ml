@@ -827,6 +827,66 @@ let test_vlx_page_straddling_insn () =
         machine.Machine.cpu.Sb_sim.Cpu.regs.(2))
     vlx_engines
 
+let test_vlx_straddling_prefetch_abort () =
+  (* a 6-byte MOVI at 0x1FFD whose tail lies on the unmapped page at
+     0x2000: the prefetch abort reports the tail byte in FAR and returns to
+     the instruction's first byte, so an ERET after mapping the page
+     re-executes it whole *)
+  let ttbr = 0x0010_0000 and l2_base = 0x0011_0000 and out = 0x1800 in
+  let slot target = [ Insn (VI.Jmp target); Insn VI.Nop; Insn VI.Nop; Insn VI.Nop ] in
+  let program =
+    VI.Asm.assemble ~base:0 ~entry:"start"
+      ([ Label "start" ]
+      @ vlx_insns
+          [
+            VI.Movi_sym (0, "vectors");
+            VI.Cpw (Sb_isa.Cregs.vbar, 0);
+            VI.Movi (0, ttbr);
+            VI.Cpw (Sb_isa.Cregs.ttbr, 0);
+            VI.Movi (0, 1);
+            VI.Cpw (Sb_isa.Cregs.sctlr, 0);
+            VI.Jmp "straddle";
+          ]
+      @ [ Label "pabt_handler" ]
+      @ vlx_insns
+          [
+            VI.Cpr (1, Sb_isa.Cregs.elr);
+            VI.Cpr (2, Sb_isa.Cregs.far);
+            VI.Movi (3, out);
+            VI.Store (1, 3, 0);
+            VI.Store (2, 3, 4);
+            VI.Halt;
+          ]
+      @ (Label "vectors" :: slot "start")
+      @ slot "start" @ slot "start" @ slot "pabt_handler" @ slot "start" @ slot "start"
+      @ [ Org 0x1FFD; Label "straddle" ]
+      @ vlx_insns [ VI.Movi (0, 0x11223344); VI.Halt ])
+  in
+  List.iter
+    (fun engine ->
+      let machine = Machine.create ~ram_size:(4 * 1024 * 1024) () in
+      Machine.load_program machine program;
+      let ram = Sb_mem.Bus.ram machine.Machine.bus in
+      (* pages 0x0000 and 0x1000 identity-mapped, 0x2000 left unmapped *)
+      Sb_mem.Phys_mem.write32 ram
+        (ttbr + (Sb_mmu.Pte.l1_index 0 * 4))
+        (Sb_mmu.Pte.encode_table ~l2_base);
+      List.iter
+        (fun va ->
+          Sb_mem.Phys_mem.write32 ram
+            (l2_base + (Sb_mmu.Pte.l2_index va * 4))
+            (Sb_mmu.Pte.encode_page ~pa_base:va ~ap:Sb_mmu.Access.Ap.kernel_only
+               ~xn:false))
+        [ 0x0000; 0x1000 ];
+      let result = Sb_sim.Engine.run engine ~max_insns:100_000 machine in
+      let name = Sb_sim.Engine.name engine in
+      check_halted result;
+      Alcotest.(check int) (name ^ " ELR") 0x1FFD (Sb_mem.Phys_mem.read32 ram out);
+      Alcotest.(check int) (name ^ " FAR") 0x2002 (Sb_mem.Phys_mem.read32 ram (out + 4));
+      Alcotest.(check int) (name ^ " one prefetch abort") 1
+        (Sb_sim.Perf.get result.Sb_sim.Run_result.perf Sb_sim.Perf.Prefetch_abort))
+    vlx_engines
+
 (* Randomised self-modifying code: a patch area of NOPs (own page) ending in
    RET; each round the guest overwrites one random slot with a random
    register-setting instruction (encoded host-side and embedded as data),
@@ -929,6 +989,8 @@ let () =
           Alcotest.test_case "wfi timer wakeup" `Quick test_wfi_timer_wakeup;
           Alcotest.test_case "vlx page-straddling insn" `Quick
             test_vlx_page_straddling_insn;
+          Alcotest.test_case "vlx straddling prefetch abort" `Quick
+            test_vlx_straddling_prefetch_abort;
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest

@@ -362,9 +362,9 @@ let test_asid_tagging_signature () =
 
 let test_front_cache_signature () =
   (* the dispatch front caches must fire on indirect control flow (which
-     cannot chain, so every taken branch goes through block lookup) and
-     must not change what executes: the retired-instruction stream is
-     identical with the knob on and off *)
+     cannot chain, so every taken branch goes through block lookup), and
+     the DBT's must not change what executes: its retired-instruction
+     stream is identical with the knob on and off *)
   let arch = Sb_isa.Arch_sig.Sba in
   let support = Simbench.Engines.support arch in
   let bench = Simbench.Suite.intra_page_indirect in
@@ -385,19 +385,12 @@ let test_front_cache_signature () =
     true (dbt_on > 1_000);
   Alcotest.(check int) "dbt: off means zero hits" 0 dbt_off;
   Alcotest.(check int) "dbt: same instruction stream" dbt_insns dbt_insns';
-  let interp_on, i_insns =
+  let interp_on, _ =
     probe (Simbench.Engines.interp_configured arch Sb_interp.Interp.Config.default)
-  in
-  let interp_off, i_insns' =
-    probe
-      (Simbench.Engines.interp_configured arch
-         { Sb_interp.Interp.Config.default with Sb_interp.Interp.Config.front_cache = false })
   in
   Alcotest.(check bool)
     (Printf.sprintf "interp front cache fires (%d hits)" interp_on)
-    true (interp_on > 1_000);
-  Alcotest.(check int) "interp: off means zero hits" 0 interp_off;
-  Alcotest.(check int) "interp: same instruction stream" i_insns i_insns'
+    true (interp_on > 1_000)
 
 (* The token-threaded opstream backend must retire exactly the same
    instruction stream as the closure backend it replaced, on every
@@ -548,9 +541,10 @@ let test_forked_worker_own_ram () =
 
 (* The per-instruction and per-block paths of interp, native, virt and
    both DBT backends (closure blocks at v1.7.0, threaded code with traces
-   at v2.7.0) must not allocate incidentally, on either ISA: no option per
-   TLB or chain hit, no closure per dispatch or per instruction, no tuple
-   per flag-setting ALU op.  Minor-heap words are read around a run at N
+   at v2.7.0) must not allocate incidentally, on either ISA, within a page
+   or across pages: no option per TLB or chain hit, no closure per
+   dispatch or per instruction, no tuple per flag-setting ALU op, no list
+   per failed trace attempt.  Minor-heap words are read around a run at N
    and at 2N iterations, so everything the two runs share (machine build,
    set-up phase, translation) cancels and only the kernel's marginal
    allocation per retired instruction is left.  The detailed model
@@ -584,7 +578,12 @@ let test_kernel_minor_words () =
                 Alcotest.failf
                   "%s on %s (%s): %.3f minor words per kernel instruction (bound 0.05)"
                   bench_name engine_name (Sb_isa.Arch_sig.arch_id_name arch) per_insn)
-            [ "Intra-Page Direct"; "Hot Memory Access" ])
+            [
+              "Intra-Page Direct";
+              "Inter-Page Direct";
+              "Inter-Page Indirect";
+              "Hot Memory Access";
+            ])
         [ "interp"; "native"; "virt"; "dbt@v1.7.0"; "dbt@v2.7.0" ])
     [ Sb_isa.Arch_sig.Sba; Sb_isa.Arch_sig.Vlx ]
 
