@@ -139,6 +139,18 @@ let with_engine arch engine_name f =
     1
   | Ok engine -> f engine
 
+(* a Figure 3 benchmark, else one of the extension suite *)
+let find_bench name =
+  match Simbench.Suite.find name with
+  | Some _ as b -> b
+  | None -> Simbench.Suite_ext.find name
+
+(* the byte of an assembled image at an address; 0 outside the image *)
+let image_read8 (program : Sb_asm.Program.t) a =
+  let i = a - program.Sb_asm.Program.base in
+  let image = program.Sb_asm.Program.image in
+  if i >= 0 && i < Bytes.length image then Char.code (Bytes.get image i) else 0
+
 (* ---- list ---- *)
 
 let list_cmd =
@@ -187,12 +199,7 @@ let run_cmd =
   in
   let action arch engine_name bench_name scale iters counters switch_at
       setup_engine_name ckpt_dir =
-    let found =
-      match Simbench.Suite.find bench_name with
-      | Some _ as b -> b
-      | None -> Simbench.Suite_ext.find bench_name
-    in
-    match found with
+    match find_bench bench_name with
     | None ->
       Printf.eprintf "unknown benchmark %S; try the list command\n" bench_name;
       1
@@ -306,12 +313,7 @@ let disasm_cmd =
       & info [ "limit" ] ~docv:"BYTES" ~doc:"How many bytes to disassemble.")
   in
   let action arch bench_name limit =
-    let found =
-      match Simbench.Suite.find bench_name with
-      | Some _ as b -> b
-      | None -> Simbench.Suite_ext.find bench_name
-    in
-    match found with
+    match find_bench bench_name with
     | None ->
       Printf.eprintf "unknown benchmark %S\n" bench_name;
       1
@@ -322,15 +324,8 @@ let disasm_cmd =
       in
       let image = program.Sb_asm.Program.image in
       let base = program.Sb_asm.Program.base in
-      let read8 a =
-        let i = a - base in
-        if i >= 0 && i < Bytes.length image then Char.code (Bytes.get image i) else 0
-      in
-      let arch_mod : (module Sb_isa.Arch_sig.ARCH) =
-        match arch with
-        | Sb_isa.Arch_sig.Sba -> (module Sb_arch_sba.Arch)
-        | Sb_isa.Arch_sig.Vlx -> (module Sb_arch_vlx.Arch)
-      in
+      let read8 = image_read8 program in
+      let arch_mod = Sb_analysis.Tv.arch_module arch in
       Printf.printf "%s on %s: image %d bytes, entry 0x%x\n\n" bench_name
         (Sb_isa.Arch_sig.arch_id_name arch)
         (Bytes.length image) program.Sb_asm.Program.entry;
@@ -605,20 +600,13 @@ let lint_cmd =
                   Simbench.Rt.program ~support
                     ~platform:Simbench.Platform.sbp_ref ~bench
                 in
-                let image = program.Sb_asm.Program.image in
-                let base = program.Sb_asm.Program.base in
-                let read8 a =
-                  let i = a - base in
-                  if i >= 0 && i < Bytes.length image then
-                    Char.code (Bytes.get image i)
-                  else 0
-                in
                 List.map
                   (fun v ->
                     (bench.Simbench.Bench.name, Simbench.Support.name support, v))
                   (Sb_analysis.Tv.sweep_program ~arch ~config:sweep_config
-                     ~version:sweep_version ~read8 ~base
-                     ~len:(Bytes.length image) ()))
+                     ~version:sweep_version ~read8:(image_read8 program)
+                     ~base:program.Sb_asm.Program.base
+                     ~len:(Bytes.length program.Sb_asm.Program.image) ()))
               benches)
           arches
       in
@@ -757,12 +745,7 @@ let debug_cmd =
       & info [ "steps" ] ~docv:"N" ~doc:"Single-steps to trace after the break.")
   in
   let action arch engine_name bench_name break steps =
-    let found =
-      match Simbench.Suite.find bench_name with
-      | Some _ as b -> b
-      | None -> Simbench.Suite_ext.find bench_name
-    in
-    match found with
+    match find_bench bench_name with
     | None ->
       Printf.eprintf "unknown benchmark %S\n" bench_name;
       1
@@ -774,12 +757,9 @@ let debug_cmd =
           let machine = Simbench.Platform.machine platform () in
           Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev 10;
           Sb_sim.Machine.load_program machine program;
-          let arch_mod : (module Sb_isa.Arch_sig.ARCH) =
-            match arch with
-            | Sb_isa.Arch_sig.Sba -> (module Sb_arch_sba.Arch)
-            | Sb_isa.Arch_sig.Vlx -> (module Sb_arch_vlx.Arch)
+          let dbg =
+            Sb_sim.Debugger.create ~engine ~arch:(Sb_analysis.Tv.arch_module arch) machine
           in
-          let dbg = Sb_sim.Debugger.create ~engine ~arch:arch_mod machine in
           (match break with
           | Some label -> (
             match Sb_asm.Program.symbol_opt program label with

@@ -9,6 +9,8 @@ spec='@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
 status=0
 for target in \
   lib/sim/.sb_sim.objs/native/sb_sim__Perf.cmx \
+  lib/sim/.sb_sim.objs/native/sb_sim__Guest.cmx \
+  lib/interp/.sb_interp.objs/native/sb_interp__Core.cmx \
   lib/dbt/.sb_dbt.objs/native/sb_dbt__Dbt.cmx; do
   if ! rules=$(dune rules "$target"); then
     echo "check-build-flags: dune rules $target failed" >&2

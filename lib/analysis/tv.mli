@@ -92,6 +92,9 @@ val check_case :
     regimes); [Some (component, detail)] on the first divergence.  Exposed
     for unit tests. *)
 
+val arch_module : Sb_isa.Arch_sig.arch_id -> (module Sb_isa.Arch_sig.ARCH)
+(** The architecture module of an ISA. *)
+
 val sweep_program :
   arch:Sb_isa.Arch_sig.arch_id ->
   ?config:Sb_dbt.Config.t ->

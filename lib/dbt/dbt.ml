@@ -1,9 +1,9 @@
 open Sb_isa
 open Sb_sim
 
-let page_shift = 12
-let page_size = 1 lsl page_shift
-let page_mask = page_size - 1
+let page_shift = Guest.page_shift
+let page_size = Guest.page_size
+let page_mask = Guest.page_mask
 let u32_mask = 0xFFFF_FFFF
 
 (* direct-mapped block-lookup front cache (QEMU's tb_jmp_cache analog) *)
@@ -65,19 +65,7 @@ struct
       ("Undefined Instruction", "Translated");
     ]
 
-  exception Guest_fault of {
-    vector : Exn.vector;
-    cause : int;
-    far : int option;
-    return_addr : int;
-    retired : int;  (* instructions of the current block fully retired *)
-  }
-
   exception Smc_restart of { resume_va : int; retired : int }
-
-  exception Stop of Run_result.stop_reason
-
-  exception Stop_in_block of { reason : Run_result.stop_reason; retired : int }
 
   (* Two code representations share the dispatch machinery: the closure
      backend emits one host closure per micro-op; the threaded backend
@@ -138,11 +126,13 @@ struct
   }
 
   type ctx = {
-    machine : Machine.t;
+    g : Guest.t;
+    (* the guest's CPU, bus and counters, which the hot paths read here
+       with one load *)
     cpu : Cpu.t;
     bus : Sb_mem.Bus.t;
     perf : Perf.t;
-    pcache : Page_cache.t;
+    pcache : Sb_mmu.Page_cache.t;
     cache : (int, block) Hashtbl.t;
     jmp_blocks : block option array;
         (* front cache ahead of [cache], indexed by a hash of the virtual
@@ -152,7 +142,6 @@ struct
     jmp_gens : int array;
     by_page : (int, block list ref) Hashtbl.t;
     traces_by_page : (int, trace list ref) Hashtbl.t;
-    code_pages : Bytes.t;
     shadow_regs : int array;
     shadow_cop : int array;
     dtlb_r : Sb_mmu.Mtlb.t;
@@ -166,29 +155,26 @@ struct
     mutable sync_token : int;
     mutable cur_page : int;
     mutable cur_page2 : int;
-    mutable timer_backlog : int;
     mutable chain_gen : int;
         (* bumped on any event that may change va->pa mappings (TTBR/SCTLR
            writes, TLB maintenance); stale chains are ignored, exactly like
            QEMU flushing its tb_jmp_cache on tlb_flush *)
   }
 
-  let make_ctx machine perf =
-    let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
+  let make_ctx ?prev:_ (g : Guest.t) =
     {
-      machine;
-      cpu = machine.Machine.cpu;
-      bus = machine.Machine.bus;
-      perf;
+      g;
+      cpu = g.cpu;
+      bus = g.bus;
+      perf = g.perf;
       pcache =
-        Page_cache.create ~l1_entries:cfg.Config.tlb_entries
+        Sb_mmu.Page_cache.create ~l1_entries:cfg.Config.tlb_entries
           ~l2_entries:cfg.Config.tlb_l2_entries ~lazy_flush:cfg.Config.lazy_tlb_flush;
       cache = Hashtbl.create 1024;
       jmp_blocks = Array.make jmp_cache_size None;
       jmp_gens = Array.make jmp_cache_size (-1);
       by_page = Hashtbl.create 64;
       traces_by_page = Hashtbl.create 16;
-      code_pages = Bytes.make ((ram_pages + 7) / 8) '\000';
       shadow_regs = Array.make 16 0;
       shadow_cop = Array.make Cregs.count 0;
       dtlb_r = Sb_mmu.Mtlb.create ~entries:256;
@@ -198,7 +184,6 @@ struct
       sync_token = 0;
       cur_page = -1;
       cur_page2 = -1;
-      timer_backlog = 0;
       chain_gen = 0;
     }
 
@@ -217,103 +202,79 @@ struct
         (ctx.sync_token + blk.key + Bool.to_int blk.valid) land max_int
     done
 
-  (* ---------------- faults -------------------------------------------- *)
+  (* ---------------- translation ----------------------------------------- *)
 
-  let data_fault ~iaddr ~retired ~kind ~va fault =
-    let cause = Exn.Cause.of_fault ~kind fault in
-    match kind with
-    | Sb_mmu.Access.Execute ->
-      raise
-        (Guest_fault
-           { vector = Exn.Prefetch_abort; cause; far = Some va; return_addr = iaddr; retired })
-    | Sb_mmu.Access.Read | Sb_mmu.Access.Write ->
-      raise
-        (Guest_fault
-           { vector = Exn.Data_abort; cause; far = Some va; return_addr = iaddr; retired })
+  let[@inline] page_pa (e : Sb_mmu.Page_cache.entry) va =
+    (e.Sb_mmu.Page_cache.ppn lsl page_shift) lor (va land page_mask)
 
-  let bus_fault ~iaddr ~retired ~kind ~va =
-    let vector =
-      match kind with
-      | Sb_mmu.Access.Execute -> Exn.Prefetch_abort
-      | Sb_mmu.Access.Read | Sb_mmu.Access.Write -> Exn.Data_abort
-    in
-    raise
-      (Guest_fault
-         {
-           vector;
-           cause = Exn.Cause.bus_error;
-           far = Some va;
-           return_addr = iaddr;
-           retired;
-         })
-
-  let walker_read32 ctx pa =
-    try Sb_mem.Bus.read32 ctx.bus pa with Sb_mem.Bus.Fault _ -> 0
+  let[@inline] permits (e : Sb_mmu.Page_cache.entry) kind priv =
+    Sb_mmu.Access.Ap.permits ~ap:e.Sb_mmu.Page_cache.ap ~xn:e.Sb_mmu.Page_cache.xn kind
+      priv
 
   (* Slow path: L2 probe, then a table walk filling the cache. *)
   let translate_slow ctx ~va ~kind ~priv ~iaddr ~retired =
     let vpn = va lsr page_shift in
     let asid = ctx.cpu.Cpu.cop.(Cregs.asid) in
     let entry =
-      match Page_cache.lookup_l2 ctx.pcache ~vpn ~asid with
+      match Sb_mmu.Page_cache.lookup_l2 ctx.pcache ~vpn ~asid with
       | Some e ->
         Perf.incr ctx.perf Perf.Tlb_hit;
         e
-      | None -> (
+      | None ->
         Perf.incr ctx.perf Perf.Tlb_miss;
-        Perf.incr ctx.perf Perf.Mmu_walks;
         (* page-table-format disambiguation: QEMU-style multi-variant MMU *)
         for step = 1 to cfg.Config.walk_extra_work * 4 do
           ctx.sync_token <-
             (ctx.sync_token + ((va lsr (step land 31)) lxor step)) land max_int
         done;
-        let ttbr = ctx.cpu.Cpu.cop.(Cregs.ttbr) in
-        match Sb_mmu.Walker.walk ~read32:(walker_read32 ctx) ~ttbr ~va with
-        | Error fault -> data_fault ~iaddr ~retired ~kind ~va fault
-        | Ok m ->
-          Perf.add ctx.perf Perf.Walk_levels m.Sb_mmu.Walker.levels;
-          let e =
-            {
-              Page_cache.vpn;
-              ppn = m.Sb_mmu.Walker.pa_page lsr page_shift;
-              ap = m.Sb_mmu.Walker.ap;
-              xn = m.Sb_mmu.Walker.xn;
-              asid;
-            }
-          in
-          Page_cache.insert ctx.pcache e;
-          e)
+        Sb_mmu.Page_cache.fill ctx.pcache ~vpn ~asid
+          (Guest.walk ctx.g ~va ~kind ~iaddr ~retired)
     in
-    if Sb_mmu.Access.Ap.permits ~ap:entry.Page_cache.ap ~xn:entry.Page_cache.xn kind priv
-    then (entry.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-    else data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
+    if permits entry kind priv then page_pa entry va
+    else Guest.data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
 
-  let translate ctx ~va ~kind ~priv ~iaddr ~retired =
-    if not (Cpu.mmu_enabled ctx.cpu) then va
-    else
-      let vpn = va lsr page_shift in
-      match Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid) with
-      | Some e ->
+  (* The page-cache probe, for every access the MMU translates.  An L1 hit
+     that forbids the access faults at once on a fetch; on the data paths
+     ([rewalk]) it goes on to the L2 probe and a walk before faulting, as
+     QEMU's softmmu re-fills before raising a permission fault. *)
+  let[@inline] translate ctx ~va ~kind ~priv ~iaddr ~retired ~rewalk =
+    match
+      Sb_mmu.Page_cache.lookup_l1 ctx.pcache ~vpn:(va lsr page_shift)
+        ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)
+    with
+    | Some e ->
+      if permits e kind priv then begin
         Perf.incr ctx.perf Perf.Tlb_hit;
-        if Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn kind priv
-        then (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-        else data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
-      | None -> translate_slow ctx ~va ~kind ~priv ~iaddr ~retired
+        page_pa e va
+      end
+      else if rewalk then translate_slow ctx ~va ~kind ~priv ~iaddr ~retired
+      else begin
+        Perf.incr ctx.perf Perf.Tlb_hit;
+        Guest.data_fault ~iaddr ~retired ~kind ~va Sb_mmu.Access.Permission
+      end
+    | None -> translate_slow ctx ~va ~kind ~priv ~iaddr ~retired
 
-  (* ---------------- code-page bitmap and block invalidation ------------ *)
+  (* a fetch's physical address, which must be RAM; faults retire nothing
+     of the block being translated or looked up *)
+  let fetch_pa ctx ~va ~iaddr =
+    let pa =
+      if not (Cpu.mmu_enabled ctx.cpu) then va
+      else
+        translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr
+          ~retired:0 ~rewalk:false
+    in
+    if Sb_mem.Bus.is_ram ctx.bus pa then pa
+    else Guest.bus_fault ~iaddr ~retired:0 ~kind:Sb_mmu.Access.Execute ~va
 
-  let code_bit_get ctx ppage =
-    Char.code (Bytes.get ctx.code_pages (ppage lsr 3)) land (1 lsl (ppage land 7)) <> 0
+  (* the privilege a load or store is checked at: user for LDRT/STRT *)
+  let[@inline] data_priv ctx ~user = if user then Sb_mmu.Access.User else ctx.cpu.Cpu.mode
 
-  let code_bit_set ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) lor (1 lsl (ppage land 7))))
+  (* a load's or store's physical address, under an MMU that is on *)
+  let[@inline] data_pa ctx ~kind ~user ~va ~iva ~iidx =
+    translate ctx ~va ~kind ~priv:(data_priv ctx ~user) ~iaddr:iva ~retired:iidx
+      ~rewalk:true
 
-  let code_bit_clear ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) land lnot (1 lsl (ppage land 7))))
+  (* ---------------- block invalidation ---------------------------------- *)
 
   let invalidate_trace ctx (tr : trace) =
     if tr.t_valid then begin
@@ -344,75 +305,74 @@ struct
       List.iter (invalidate_trace ctx) !traces;
       Hashtbl.remove ctx.traces_by_page ppage
     | None -> ());
-    code_bit_clear ctx ppage;
-    Perf.incr ctx.perf Perf.Smc_invalidations
+    Guest.code_invalidated ctx.g ppage
 
-  (* ---------------- physical access helpers --------------------------- *)
+  (* A store wrote code page [ppage]: drop its translations, and if it
+     clobbered the running unit's own pages, stop executing its stale tail
+     and restart dispatch after this store. *)
+  let smc_write ctx ~ppage ~resume_va ~retired =
+    invalidate_page ctx ppage;
+    if ppage = ctx.cur_page || ppage = ctx.cur_page2 then
+      raise (Smc_restart { resume_va; retired = retired + 1 })
 
-  let read_phys ctx ~iaddr ~retired ~va width pa =
-    if Sb_mem.Bus.is_ram ctx.bus pa then
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.read8 ram pa
-      | Uop.W16 -> Sb_mem.Phys_mem.read16 ram pa
-      | Uop.W32 -> Sb_mem.Phys_mem.read32 ram pa
-    else begin
-      Perf.incr ctx.perf Perf.Io_reads;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.read8 ctx.bus pa
-        | Uop.W16 -> Sb_mem.Bus.read16 ctx.bus pa
-        | Uop.W32 -> Sb_mem.Bus.read32 ctx.bus pa
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~retired ~kind:Sb_mmu.Access.Read ~va
-    end
+  (* ---------------- the memory path and translation maintenance -------- *)
 
-  let write_phys ctx ~iaddr ~retired ~resume_va ~va width pa v =
-    if Sb_mem.Bus.is_ram ctx.bus pa then begin
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      (match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.write8 ram pa v
-      | Uop.W16 -> Sb_mem.Phys_mem.write16 ram pa v
-      | Uop.W32 -> Sb_mem.Phys_mem.write32 ram pa v);
-      let ppage = pa lsr page_shift in
-      if code_bit_get ctx ppage then begin
-        invalidate_page ctx ppage;
-        (* if we clobbered the running block's own pages, stop executing its
-           stale tail and restart dispatch after this store *)
-        if ppage = ctx.cur_page || ppage = ctx.cur_page2 then
-          raise (Smc_restart { resume_va; retired = retired + 1 })
-      end
-    end
-    else begin
-      Perf.incr ctx.perf Perf.Io_writes;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.write8 ctx.bus pa v
-        | Uop.W16 -> Sb_mem.Bus.write16 ctx.bus pa v
-        | Uop.W32 -> Sb_mem.Bus.write32 ctx.bus pa v
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~retired ~kind:Sb_mmu.Access.Write ~va
-    end
+  let[@inline] write_phys ctx ~iaddr ~retired ~resume_va ~va width pa v =
+    if Guest.write_phys ctx.g ~iaddr ~retired ~va width pa v then
+      smc_write ctx ~ppage:(pa lsr page_shift) ~resume_va ~retired
+
+  (* A translation change or a full TLB flush: the page cache, every chain
+     (by the generation) and the threaded backend's micro-TLBs forget every
+     mapping, exactly like QEMU flushing its tb_jmp_cache on tlb_flush. *)
+  let flush_translations ctx =
+    Sb_mmu.Page_cache.flush ctx.pcache;
+    ctx.chain_gen <- ctx.chain_gen + 1;
+    Sb_mmu.Mtlb.flush ctx.dtlb_r;
+    Sb_mmu.Mtlb.flush ctx.dtlb_w;
+    Sb_mmu.Mtlb.flush ctx.itlb
+
+  let[@inline] cop_write ctx ~creg ~value ~iva ~iidx =
+    Perf.incr ctx.perf Perf.Cop_writes;
+    match Cop.write ctx.cpu ~creg ~value with
+    | Ok (Cop.No_effect | Cop.Asid_changed) ->
+      (* the page cache and the micro-TLBs are ASID-tagged: entries of
+         other address spaces persist, and chains stay valid because
+         blocks are keyed physically *)
+      ()
+    | Ok Cop.Translation_changed -> flush_translations ctx
+    | Error `Undefined -> Guest.undefined ~iaddr:iva ~retired:iidx
+
+  let[@inline] tlb_inv_page ctx ~va =
+    Perf.incr ctx.perf Perf.Tlb_inv_page_ops;
+    let vpn = va lsr page_shift in
+    Sb_mmu.Page_cache.invalidate_page ctx.pcache ~vpn
+      ~asid:ctx.cpu.Cpu.cop.(Cregs.asid);
+    ctx.chain_gen <- ctx.chain_gen + 1;
+    Sb_mmu.Mtlb.invalidate_page ctx.dtlb_r ~vpn;
+    Sb_mmu.Mtlb.invalidate_page ctx.dtlb_w ~vpn;
+    Sb_mmu.Mtlb.invalidate_page ctx.itlb ~vpn
+
+  let[@inline] tlb_inv_all ctx =
+    Perf.incr ctx.perf Perf.Tlb_flush_ops;
+    flush_translations ctx
 
   (* ---------------- emission ------------------------------------------ *)
 
   let rec wrap_layers n f = if n <= 0 then f else wrap_layers (n - 1) (fun () -> f ())
 
-  let undef_fault ~iva ~iidx () =
-    raise
-      (Guest_fault
-         {
-           vector = Exn.Undefined;
-           cause = Exn.Cause.undefined;
-           far = None;
-           return_addr = iva;
-           retired = iidx;
-         })
+  let undef_fault ~iva ~iidx () = Guest.undefined ~iaddr:iva ~retired:iidx
+
+  let reader regs = function
+    | Uop.Reg r -> fun () -> regs.(r)
+    | Uop.Imm v ->
+      let v = v land u32_mask in
+      fun () -> v
 
   let emit_alu ctx ~set_flags ~op ~rd ~rn ~rm =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     if set_flags then begin
-      let read_rn = match rn with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
-      let read_rm = match rm with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
+      let read_rn = reader regs rn and read_rm = reader regs rm in
       match rd with
       | Some rd ->
         fun () -> regs.(rd) <- Alu_eval.eval_set_flags cpu op (read_rn ()) (read_rm ())
@@ -469,88 +429,50 @@ struct
         | Uop.Lsr, Uop.Reg a, Uop.Reg b ->
           fun () -> regs.(rd) <- Sb_util.U32.shift_right_logical regs.(a) (regs.(b) land 0xFF)
         | _ ->
-          let read_rn = match rn with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
-          let read_rm = match rm with Uop.Reg r -> (fun () -> regs.(r)) | Uop.Imm v -> (fun () -> v land u32_mask) in
+          let read_rn = reader regs rn and read_rm = reader regs rm in
           fun () -> regs.(rd) <- Alu_eval.eval op (read_rn ()) (read_rm ()))
 
+  (* a load's or store's counters, and its virtual address *)
+  let[@inline] access_va perf counter ~user read_base offset =
+    Perf.incr perf counter;
+    if user then Perf.incr perf Perf.User_accesses;
+    (read_base () + offset) land u32_mask
+
   let emit_load ctx ~mmu_on ~iva ~iidx ~width ~rd ~base ~offset ~user =
-    let cpu = ctx.cpu in
-    let regs = cpu.Cpu.regs in
+    let regs = ctx.cpu.Cpu.regs in
     let perf = ctx.perf in
-    let read_base =
-      match base with
-      | Uop.Reg r -> fun () -> regs.(r)
-      | Uop.Imm v -> fun () -> v land u32_mask
-    in
+    let read_base = reader regs base in
     let body =
       if not mmu_on then (fun () ->
-        Perf.incr perf Perf.Loads;
-        if user then Perf.incr perf Perf.User_accesses;
-        let va = (read_base () + offset) land u32_mask in
-        regs.(rd) <- read_phys ctx ~iaddr:iva ~retired:iidx ~va width va)
+        let va = access_va perf Perf.Loads ~user read_base offset in
+        regs.(rd) <- Guest.read_phys ctx.g ~iaddr:iva ~retired:iidx ~va width va)
       else fun () ->
-        Perf.incr perf Perf.Loads;
-        if user then Perf.incr perf Perf.User_accesses;
-        let va = (read_base () + offset) land u32_mask in
-        let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
-        let vpn = va lsr page_shift in
-        let pa =
-          match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
-          with
-          | Some e
-            when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
-                   Sb_mmu.Access.Read priv ->
-            Perf.incr perf Perf.Tlb_hit;
-            (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-          | _ ->
-            translate_slow ctx ~va ~kind:Sb_mmu.Access.Read ~priv ~iaddr:iva
-              ~retired:iidx
-        in
-        regs.(rd) <- read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
+        let va = access_va perf Perf.Loads ~user read_base offset in
+        let pa = data_pa ctx ~kind:Sb_mmu.Access.Read ~user ~va ~iva ~iidx in
+        regs.(rd) <- Guest.read_phys ctx.g ~iaddr:iva ~retired:iidx ~va width pa
     in
     wrap_layers cfg.Config.mem_helper_layers body
 
   let emit_store ctx ~mmu_on ~iva ~ilen ~iidx ~width ~rs ~base ~offset ~user =
-    let cpu = ctx.cpu in
-    let regs = cpu.Cpu.regs in
+    let regs = ctx.cpu.Cpu.regs in
     let perf = ctx.perf in
     let resume_va = iva + ilen in
-    let read_base =
-      match base with
-      | Uop.Reg r -> fun () -> regs.(r)
-      | Uop.Imm v -> fun () -> v land u32_mask
-    in
+    let read_base = reader regs base in
     let body =
       if not mmu_on then (fun () ->
-        Perf.incr perf Perf.Stores;
-        if user then Perf.incr perf Perf.User_accesses;
-        let va = (read_base () + offset) land u32_mask in
+        let va = access_va perf Perf.Stores ~user read_base offset in
         write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va regs.(rs))
       else fun () ->
-        Perf.incr perf Perf.Stores;
-        if user then Perf.incr perf Perf.User_accesses;
-        let va = (read_base () + offset) land u32_mask in
-        let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
-        let vpn = va lsr page_shift in
-        let pa =
-          match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
-          with
-          | Some e
-            when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
-                   Sb_mmu.Access.Write priv ->
-            Perf.incr perf Perf.Tlb_hit;
-            (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-          | _ ->
-            translate_slow ctx ~va ~kind:Sb_mmu.Access.Write ~priv ~iaddr:iva
-              ~retired:iidx
-        in
+        let va = access_va perf Perf.Stores ~user read_base offset in
+        let pa = data_pa ctx ~kind:Sb_mmu.Access.Write ~user ~va ~iva ~iidx in
         write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa regs.(rs)
     in
     wrap_layers cfg.Config.mem_helper_layers body
 
-  let emit_branch ctx ~iva ~ilen ~cond ~target ~link =
+  (* [elide]: a trace seam into the next segment, where an unconditional
+     direct branch keeps its architectural effects (counters, link write)
+     and drops the pc write the stitching makes redundant *)
+  let emit_branch ctx ~iva ~ilen ~elide ~cond ~target ~link =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -570,8 +492,19 @@ struct
       | Uop.Direct t -> fun () -> cpu.Cpu.pc <- t
       | Uop.Indirect r -> fun () -> cpu.Cpu.pc <- regs.(r)
     in
-    match cond with
-    | Uop.Always ->
+    match (cond, target) with
+    | Uop.Always, Uop.Direct _ when elide -> (
+      match link with
+      | Some l ->
+        fun () ->
+          Perf.incr perf Perf.Branch_direct;
+          Perf.incr perf Perf.Branch_taken;
+          regs.(l) <- ret
+      | None ->
+        fun () ->
+          Perf.incr perf Perf.Branch_direct;
+          Perf.incr perf Perf.Branch_taken)
+    | Uop.Always, _ ->
       fun () ->
         Perf.incr perf counter;
         Perf.incr perf Perf.Branch_taken;
@@ -596,7 +529,7 @@ struct
           set_pc ()
         end
 
-  let emit_uop ctx ~mmu_on ~iva ~ilen ~iidx uop =
+  let emit_uop ctx ~mmu_on ~iva ~ilen ~iidx ~elide uop =
     let cpu = ctx.cpu in
     let regs = cpu.Cpu.regs in
     let perf = ctx.perf in
@@ -607,18 +540,11 @@ struct
       emit_load ctx ~mmu_on ~iva ~iidx ~width ~rd ~base ~offset ~user
     | Uop.Store { width; rs; base; offset; user } ->
       emit_store ctx ~mmu_on ~iva ~ilen ~iidx ~width ~rs ~base ~offset ~user
-    | Uop.Branch { cond; target; link } -> emit_branch ctx ~iva ~ilen ~cond ~target ~link
+    | Uop.Branch { cond; target; link } ->
+      emit_branch ctx ~iva ~ilen ~elide ~cond ~target ~link
     | Uop.Svc _ ->
-      fun () ->
-        raise
-          (Guest_fault
-             {
-               vector = Exn.Syscall;
-               cause = Exn.Cause.syscall;
-               far = None;
-               return_addr = (iva + ilen) land u32_mask;
-               retired = iidx;
-             })
+      let return_addr = (iva + ilen) land u32_mask in
+      fun () -> Guest.syscall ~return_addr ~retired:iidx
     | Uop.Undef -> undef_fault ~iva ~iidx
     | Uop.Eret -> fun () -> Exn.eret cpu
     | Uop.Cop_read { rd; creg } ->
@@ -626,46 +552,15 @@ struct
       else fun () ->
         Perf.incr perf Perf.Cop_reads;
         regs.(rd) <- cpu.Cpu.cop.(creg)
-    | Uop.Cop_write { creg; src } ->
+    | Uop.Cop_write { creg; src } -> (
       if creg < 0 || creg >= Cregs.count then undef_fault ~iva ~iidx
       else
-        let read_src =
-          match src with
-          | Uop.Reg r -> fun () -> regs.(r)
-          | Uop.Imm v -> fun () -> v land u32_mask
-        in
-        fun () ->
-          Perf.incr perf Perf.Cop_writes;
-          (match Cop.write cpu ~creg ~value:(read_src ()) with
-          | Ok Cop.No_effect -> ()
-          | Ok Cop.Asid_changed ->
-            (* tagged page cache: entries of other address spaces persist;
-               chains stay valid because blocks are keyed physically *)
-            ()
-          | Ok Cop.Translation_changed ->
-            Page_cache.flush ctx.pcache;
-            ctx.chain_gen <- ctx.chain_gen + 1
-          | Error `Undefined -> undef_fault ~iva ~iidx ())
-    | Uop.Tlb_inv_page r ->
-      fun () ->
-        Perf.incr perf Perf.Tlb_inv_page_ops;
-        Page_cache.invalidate_page ctx.pcache
-          ~vpn:(regs.(r) lsr page_shift)
-          ~asid:cpu.Cpu.cop.(Cregs.asid);
-        ctx.chain_gen <- ctx.chain_gen + 1
-    | Uop.Tlb_inv_all ->
-      fun () ->
-        Perf.incr perf Perf.Tlb_flush_ops;
-        Page_cache.flush ctx.pcache;
-        ctx.chain_gen <- ctx.chain_gen + 1
-    | Uop.Wfi ->
-      fun () -> (
-        match Runner.wait_for_interrupt ctx.machine ~perf with
-        | `Wake -> ()
-        | `Deadlock ->
-          raise (Stop_in_block { reason = Run_result.Wfi_deadlock; retired = iidx }))
-    | Uop.Halt ->
-      fun () -> raise (Stop_in_block { reason = Run_result.Halted; retired = iidx })
+        let read_src = reader regs src in
+        fun () -> cop_write ctx ~creg ~value:(read_src ()) ~iva ~iidx)
+    | Uop.Tlb_inv_page r -> fun () -> tlb_inv_page ctx ~va:regs.(r)
+    | Uop.Tlb_inv_all -> fun () -> tlb_inv_all ctx
+    | Uop.Wfi -> fun () -> Guest.wait_for_interrupt ctx.g ~retired:iidx
+    | Uop.Halt -> fun () -> Guest.halt ~retired:iidx
 
   (* ---------------- threaded-backend host ------------------------------ *)
 
@@ -683,134 +578,50 @@ struct
         ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)
         ~priv:(priv_code priv) ~base:page_base
 
-  let mtlb_flush_all ctx =
-    Sb_mmu.Mtlb.flush ctx.dtlb_r;
-    Sb_mmu.Mtlb.flush ctx.dtlb_w;
-    Sb_mmu.Mtlb.flush ctx.itlb
-
-  (* The callbacks behind Threaded.exec: the architectural slow paths of
-     the closure backend, re-entered from opstream tokens.  Loads/stores
-     land here on a micro-TLB miss (or MMIO / page-crossing / user-mode
-     access) and refill the micro-TLB on a successful RAM translation. *)
+  (* The callbacks behind the threaded opstream: the closure backend's
+     slow paths, re-entered from opstream tokens.  Loads and stores land
+     here on a micro-TLB miss (or MMIO, page-crossing or user-mode access)
+     and refill the micro-TLB on a successful RAM translation. *)
   let make_host ctx =
-    let cpu = ctx.cpu in
     let h_load_slow ~mmu ~width ~user ~va ~iva ~iidx =
-      if not mmu then read_phys ctx ~iaddr:iva ~retired:iidx ~va width va
-      else begin
-        let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
-        let vpn = va lsr page_shift in
-        let pa =
-          match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
-          with
-          | Some e
-            when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
-                   Sb_mmu.Access.Read priv ->
-            Perf.incr ctx.perf Perf.Tlb_hit;
-            (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-          | _ ->
-            translate_slow ctx ~va ~kind:Sb_mmu.Access.Read ~priv ~iaddr:iva
-              ~retired:iidx
-        in
-        mtlb_fill ctx ctx.dtlb_r ~va ~pa ~priv;
-        read_phys ctx ~iaddr:iva ~retired:iidx ~va width pa
-      end
+      let pa =
+        if not mmu then va
+        else begin
+          let pa = data_pa ctx ~kind:Sb_mmu.Access.Read ~user ~va ~iva ~iidx in
+          mtlb_fill ctx ctx.dtlb_r ~va ~pa ~priv:(data_priv ctx ~user);
+          pa
+        end
+      in
+      Guest.read_phys ctx.g ~iaddr:iva ~retired:iidx ~va width pa
     in
     let h_store_slow ~mmu ~width ~user ~va ~v ~iva ~resume_va ~iidx =
-      if not mmu then
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width va v
-      else begin
-        let priv = if user then Sb_mmu.Access.User else cpu.Cpu.mode in
-        let vpn = va lsr page_shift in
-        let pa =
-          match
-            Page_cache.lookup_l1 ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid)
-          with
-          | Some e
-            when Sb_mmu.Access.Ap.permits ~ap:e.Page_cache.ap ~xn:e.Page_cache.xn
-                   Sb_mmu.Access.Write priv ->
-            Perf.incr ctx.perf Perf.Tlb_hit;
-            (e.Page_cache.ppn lsl page_shift) lor (va land page_mask)
-          | _ ->
-            translate_slow ctx ~va ~kind:Sb_mmu.Access.Write ~priv ~iaddr:iva
-              ~retired:iidx
-        in
-        mtlb_fill ctx ctx.dtlb_w ~va ~pa ~priv;
-        write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa v
-      end
-    in
-    let h_store_smc ~ppage ~resume_va ~iidx =
-      invalidate_page ctx ppage;
-      if ppage = ctx.cur_page || ppage = ctx.cur_page2 then
-        raise (Smc_restart { resume_va; retired = iidx + 1 })
-    in
-    let h_svc ~ret ~iidx =
-      raise
-        (Guest_fault
-           {
-             vector = Exn.Syscall;
-             cause = Exn.Cause.syscall;
-             far = None;
-             return_addr = ret;
-             retired = iidx;
-           })
-    in
-    let h_undef ~iva ~iidx = undef_fault ~iva ~iidx () in
-    let h_cop_write ~creg ~value ~iva ~iidx =
-      Perf.incr ctx.perf Perf.Cop_writes;
-      match Cop.write cpu ~creg ~value with
-      | Ok Cop.No_effect -> ()
-      | Ok Cop.Asid_changed ->
-        (* micro-TLB entries are asid-tagged, like the page cache *)
-        ()
-      | Ok Cop.Translation_changed ->
-        Page_cache.flush ctx.pcache;
-        ctx.chain_gen <- ctx.chain_gen + 1;
-        mtlb_flush_all ctx
-      | Error `Undefined -> undef_fault ~iva ~iidx ()
-    in
-    let h_tlb_inv_page ~va =
-      Perf.incr ctx.perf Perf.Tlb_inv_page_ops;
-      let vpn = va lsr page_shift in
-      Page_cache.invalidate_page ctx.pcache ~vpn ~asid:cpu.Cpu.cop.(Cregs.asid);
-      ctx.chain_gen <- ctx.chain_gen + 1;
-      Sb_mmu.Mtlb.invalidate_page ctx.dtlb_r ~vpn;
-      Sb_mmu.Mtlb.invalidate_page ctx.dtlb_w ~vpn;
-      Sb_mmu.Mtlb.invalidate_page ctx.itlb ~vpn
-    in
-    let h_tlb_inv_all () =
-      Perf.incr ctx.perf Perf.Tlb_flush_ops;
-      Page_cache.flush ctx.pcache;
-      ctx.chain_gen <- ctx.chain_gen + 1;
-      mtlb_flush_all ctx
-    in
-    let h_wfi ~iidx =
-      match Runner.wait_for_interrupt ctx.machine ~perf:ctx.perf with
-      | `Wake -> ()
-      | `Deadlock ->
-        raise (Stop_in_block { reason = Run_result.Wfi_deadlock; retired = iidx })
-    in
-    let h_halt ~iidx =
-      raise (Stop_in_block { reason = Run_result.Halted; retired = iidx })
+      let pa =
+        if not mmu then va
+        else begin
+          let pa = data_pa ctx ~kind:Sb_mmu.Access.Write ~user ~va ~iva ~iidx in
+          mtlb_fill ctx ctx.dtlb_w ~va ~pa ~priv:(data_priv ctx ~user);
+          pa
+        end
+      in
+      write_phys ctx ~iaddr:iva ~retired:iidx ~resume_va ~va width pa v
     in
     {
-      Threaded.h_cpu = cpu;
+      Threaded.h_cpu = ctx.cpu;
       h_perf = ctx.perf;
       h_ram = Sb_mem.Bus.ram ctx.bus;
       h_ram_limit = Sb_mem.Bus.ram_size ctx.bus;
-      h_code_pages = ctx.code_pages;
+      h_code_pages = ctx.g.code_pages;
       h_dtlb_r = ctx.dtlb_r;
       h_dtlb_w = ctx.dtlb_w;
       h_load_slow;
       h_store_slow;
-      h_store_smc;
-      h_svc;
-      h_undef;
-      h_cop_write;
-      h_tlb_inv_page;
-      h_tlb_inv_all;
-      h_wfi;
-      h_halt;
+      h_store_smc =
+        (fun ~ppage ~resume_va ~iidx -> smc_write ctx ~ppage ~resume_va ~retired:iidx);
+      h_cop_write =
+        (fun ~creg ~value ~iva ~iidx -> cop_write ctx ~creg ~value ~iva ~iidx);
+      h_tlb_inv_page = (fun ~va -> tlb_inv_page ctx ~va);
+      h_tlb_inv_all = (fun () -> tlb_inv_all ctx);
+      h_wfi = (fun ~iidx -> Guest.wait_for_interrupt ctx.g ~retired:iidx);
     }
 
   let host_of ctx =
@@ -821,7 +632,7 @@ struct
       ctx.thost <- Some h;
       h
 
-  let exec_code _ctx = function
+  let exec_code = function
     | Ops ops ->
       for i = 0 to Array.length ops - 1 do
         (Array.unsafe_get ops i) ()
@@ -846,16 +657,10 @@ struct
         (fast lor (a land page_mask))
     end
     else
-      let pa =
-        translate ctx ~va:a ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode
-          ~iaddr ~retired:0
-      in
-      if Sb_mem.Bus.is_ram ctx.bus pa then begin
-        if cfg.Config.threaded && Cpu.mmu_enabled ctx.cpu then
-          mtlb_fill ctx ctx.itlb ~va:a ~pa ~priv:ctx.cpu.Cpu.mode;
-        Sb_mem.Phys_mem.read8 (Sb_mem.Bus.ram ctx.bus) pa
-      end
-      else bus_fault ~iaddr ~retired:0 ~kind:Sb_mmu.Access.Execute ~va:a
+      let pa = fetch_pa ctx ~va:a ~iaddr in
+      if cfg.Config.threaded && Cpu.mmu_enabled ctx.cpu then
+        mtlb_fill ctx ctx.itlb ~va:a ~pa ~priv:ctx.cpu.Cpu.mode;
+      Sb_mem.Phys_mem.read8 (Sb_mem.Bus.ram ctx.bus) pa
 
   let ends_in_direct_or_fallthrough (decodeds : Uop.decoded list) =
     (* decodeds is in reverse order (head = last decoded) *)
@@ -886,6 +691,53 @@ struct
     in
     decode_loop [] va 0
 
+  (* Emit one translation unit (a block, or one segment of a trace) from
+     its optimised IR, returning its code and its micro-op count.  Both
+     backends pay the same per-uop host-emission cost (select, encode and
+     write the "code bytes" of each micro-op); the threaded backend's win
+     is on the execution side.  [slots] are a trace's shared register-cache
+     slots; [elide_uncond] drops the pc write of the unit's trailing
+     unconditional direct branch (a trace seam into the next segment). *)
+  let emit_unit ctx ~mmu_on ?slots ~elide_uncond (ir : Ir.insn array) =
+    let uops = ref 0 in
+    Array.iter
+      (fun (insn : Ir.insn) ->
+        List.iter
+          (fun _uop ->
+            incr uops;
+            for unit = 1 to cfg.Config.emission_work do
+              ctx.sync_token <-
+                (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37))) land max_int
+            done)
+          insn.Ir.uops)
+      ir;
+    let code =
+      if cfg.Config.threaded then begin
+        let p =
+          Threaded.compile ?slots ~elide_uncond_seam:elide_uncond
+            ~reg_cache:cfg.Config.reg_cache ~mmu:mmu_on ir
+        in
+        Perf.add ctx.perf Perf.Opstream_bytes (8 * Array.length p.Threaded.code);
+        Prog (p, Threaded.prepare (host_of ctx) p)
+      end
+      else begin
+        let last = Array.length ir - 1 in
+        let ops = ref [] in
+        Array.iteri
+          (fun iidx (insn : Ir.insn) ->
+            List.iter
+              (fun uop ->
+                ops :=
+                  emit_uop ctx ~mmu_on ~iva:insn.Ir.va ~ilen:insn.Ir.len ~iidx
+                    ~elide:(elide_uncond && iidx = last) uop
+                  :: !ops)
+              insn.Ir.uops)
+          ir;
+        Ops (Array.of_list (List.rev !ops))
+      end
+    in
+    (code, !uops)
+
   let translate_block ctx va =
     Perf.incr ctx.perf Perf.Blocks_translated;
     (* fixed per-block cost: TB allocation, prologue/epilogue emission,
@@ -907,65 +759,14 @@ struct
       | last :: _ -> (last.Uop.addr + last.Uop.length) land u32_mask
       | [] -> va
     in
-    (* emit *)
-    let uops_total = ref 0 in
-    let code =
-      if cfg.Config.threaded then begin
-        (* token lowering pays the same per-uop host-emission cost as the
-           closure backend — the win is on the execution side *)
-        Array.iter
-          (fun (insn : Ir.insn) ->
-            List.iter
-              (fun _uop ->
-                incr uops_total;
-                for unit = 1 to cfg.Config.emission_work do
-                  ctx.sync_token <-
-                    (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
-                    land max_int
-                done)
-              insn.Ir.uops)
-          ir;
-        let p =
-          Threaded.compile ~reg_cache:cfg.Config.reg_cache ~mmu:mmu_on ir
-        in
-        Perf.add ctx.perf Perf.Opstream_bytes (8 * Array.length p.Threaded.code);
-        Prog (p, Threaded.prepare (host_of ctx) p)
-      end
-      else begin
-        let ops = ref [] in
-        Array.iteri
-          (fun iidx (insn : Ir.insn) ->
-            List.iter
-              (fun uop ->
-                incr uops_total;
-                (* host machine-code emission: select, encode and write the
-                   "code bytes" for this micro-op into the code buffer *)
-                for unit = 1 to cfg.Config.emission_work do
-                  ctx.sync_token <-
-                    (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
-                    land max_int
-                done;
-                ops :=
-                  emit_uop ctx ~mmu_on ~iva:insn.Ir.va ~ilen:insn.Ir.len ~iidx
-                    uop
-                  :: !ops)
-              insn.Ir.uops)
-          ir;
-        Ops (Array.of_list (List.rev !ops))
-      end
-    in
+    let code, uops_total = emit_unit ctx ~mmu_on ~elide_uncond:false ir in
     (* physical placement for invalidation *)
-    let start_pa =
-      translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr:va
-        ~retired:0
-    in
+    let start_pa = fetch_pa ctx ~va ~iaddr:va in
     let last_byte_va = end_va - 1 in
     let end_pa =
       if last_byte_va lsr page_shift = va lsr page_shift then
         (start_pa land lnot page_mask) lor (last_byte_va land page_mask)
-      else
-        translate ctx ~va:last_byte_va ~kind:Sb_mmu.Access.Execute
-          ~priv:ctx.cpu.Cpu.mode ~iaddr:va ~retired:0
+      else fetch_pa ctx ~va:last_byte_va ~iaddr:va
     in
     let page = start_pa lsr page_shift in
     let page2 =
@@ -981,7 +782,7 @@ struct
         mmu_on;
         code;
         insns = Array.length ir;
-        uops_total = !uops_total;
+        uops_total;
         page;
         page2;
         chain_out;
@@ -992,13 +793,12 @@ struct
         trace = None;
       }
     in
+    (* both pages are RAM: every byte of the block was fetched *)
     let register ppage =
-      if Sb_mem.Bus.is_ram ctx.bus (ppage lsl page_shift) then begin
-        (match Hashtbl.find_opt ctx.by_page ppage with
-        | Some blocks -> blocks := blk :: !blocks
-        | None -> Hashtbl.add ctx.by_page ppage (ref [ blk ]));
-        code_bit_set ctx ppage
-      end
+      (match Hashtbl.find_opt ctx.by_page ppage with
+      | Some blocks -> blocks := blk :: !blocks
+      | None -> Hashtbl.add ctx.by_page ppage (ref [ blk ]));
+      Guest.mark_code ctx.g ppage
     in
     register page;
     if page2 >= 0 then register page2;
@@ -1006,12 +806,7 @@ struct
     blk
 
   let lookup_translate_slow ctx va mmu_on =
-    let pa =
-      translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr:va
-        ~retired:0
-    in
-    if not (Sb_mem.Bus.is_ram ctx.bus pa) then
-      bus_fault ~iaddr:va ~retired:0 ~kind:Sb_mmu.Access.Execute ~va;
+    let pa = fetch_pa ctx ~va ~iaddr:va in
     let key = (pa lsl 1) lor Bool.to_int mmu_on in
     match Hashtbl.find_opt ctx.cache key with
     | Some blk when blk.valid && blk.va = va -> blk
@@ -1183,7 +978,7 @@ struct
         | [] | [ _ ] -> None
         | parts -> Some parts))
     with
-    | exception Guest_fault _ ->
+    | exception Guest.Fault _ ->
       (* re-decode faulted (racing translation change); just don't form *)
       None
     | None -> None
@@ -1223,74 +1018,8 @@ struct
               pi < n_parts - 1
               && match seam with Seam_uncond _ -> true | _ -> false
             in
-            let uops = ref 0 in
-            let s_code =
-              if cfg.Config.threaded then begin
-                for i = 0 to n - 1 do
-                  let insn = ir.(!off + i) in
-                  List.iter
-                    (fun _uop ->
-                      incr uops;
-                      for unit = 1 to cfg.Config.emission_work do
-                        ctx.sync_token <-
-                          (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
-                          land max_int
-                      done)
-                    insn.Ir.uops
-                done;
-                let p =
-                  Threaded.compile ?slots ~elide_uncond_seam:elide_uncond
-                    ~reg_cache:cfg.Config.reg_cache ~mmu:b.mmu_on
-                    (Array.sub ir !off n)
-                in
-                Perf.add ctx.perf Perf.Opstream_bytes
-                  (8 * Array.length p.Threaded.code);
-                Prog (p, Threaded.prepare (host_of ctx) p)
-              end
-              else begin
-                let ops = ref [] in
-                for i = 0 to n - 1 do
-                  let insn = ir.(!off + i) in
-                  let last_insn = i = n - 1 in
-                  List.iter
-                    (fun uop ->
-                      incr uops;
-                      for unit = 1 to cfg.Config.emission_work do
-                        ctx.sync_token <-
-                          (ctx.sync_token + (insn.Ir.va lxor (unit * 0x9E37)))
-                          land max_int
-                      done;
-                      let closure =
-                        match uop with
-                        | Uop.Branch
-                            { cond = Uop.Always; target = Uop.Direct _; link }
-                          when elide_uncond && last_insn ->
-                          (* seam branch into the next segment: keep the
-                             architectural effects (counters, link write),
-                             drop the pc write the stitching makes
-                             redundant *)
-                          let regs = ctx.cpu.Cpu.regs in
-                          let perf = ctx.perf in
-                          let ret = (insn.Ir.va + insn.Ir.len) land u32_mask in
-                          (match link with
-                          | Some l ->
-                            fun () ->
-                              Perf.incr perf Perf.Branch_direct;
-                              Perf.incr perf Perf.Branch_taken;
-                              regs.(l) <- ret
-                          | None ->
-                            fun () ->
-                              Perf.incr perf Perf.Branch_direct;
-                              Perf.incr perf Perf.Branch_taken)
-                        | _ ->
-                          emit_uop ctx ~mmu_on:b.mmu_on ~iva:insn.Ir.va
-                            ~ilen:insn.Ir.len ~iidx:i uop
-                      in
-                      ops := closure :: !ops)
-                    insn.Ir.uops
-                done;
-                Ops (Array.of_list (List.rev !ops))
-              end
+            let s_code, s_uops =
+              emit_unit ctx ~mmu_on:b.mmu_on ?slots ~elide_uncond (Array.sub ir !off n)
             in
             off := !off + n;
             {
@@ -1299,7 +1028,7 @@ struct
               s_page = b.page;
               s_page2 = b.page2;
               s_insns = n;
-              s_uops = !uops;
+              s_uops;
               s_uncond = elide_uncond;
               s_code;
             })
@@ -1352,11 +1081,9 @@ struct
       blk.hot <- 0;
       None
 
-  let deliver ctx ~vector ~cause ~far ~return_addr =
-    Perf.incr ctx.perf Perf.Exceptions_total;
+  let deliver ctx vector ~cause ~far ~return_addr =
     (match vector with
     | Exn.Data_abort ->
-      Perf.incr ctx.perf Perf.Data_abort;
       (* without the fast path, a data abort reconstructs the full CPU state
          from the translated-code context (the expensive pre-v2.5.0-rc0
          recovery the paper's off-scale Data-Fault improvement removed) *)
@@ -1364,28 +1091,13 @@ struct
         for _ = 1 to 8 do
           sync_state ctx
         done
-    | Exn.Prefetch_abort ->
-      Perf.incr ctx.perf Perf.Prefetch_abort;
-      sync_state ctx
-    | Exn.Undefined ->
-      Perf.incr ctx.perf Perf.Undef_insn;
-      sync_state ctx
-    | Exn.Syscall ->
-      Perf.incr ctx.perf Perf.Svc_taken;
-      sync_state ctx
-    | Exn.Irq ->
-      Perf.incr ctx.perf Perf.Irq_taken;
-      sync_state ctx
+    | Exn.Prefetch_abort | Exn.Undefined | Exn.Syscall | Exn.Irq -> sync_state ctx
     | Exn.Reset -> ());
-    Exn.enter ctx.cpu vector ~return_addr ?far ~cause ()
+    Guest.deliver ctx.g vector ~cause ~far ~return_addr
 
-  let retire ctx n =
+  let[@inline] retire ctx n =
     Perf.add ctx.perf Perf.Insns n;
-    ctx.timer_backlog <- ctx.timer_backlog + n;
-    if ctx.timer_backlog >= 64 then begin
-      Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-      ctx.timer_backlog <- 0
-    end
+    Guest.tick ctx.g n
 
   (* Run a trace: segments execute back-to-back without chain-verify work or
      block re-dispatch.  Retirement is per segment, so fault accounting (and
@@ -1402,7 +1114,7 @@ struct
     ctx.cur_page <- seg.s_page;
     ctx.cur_page2 <- seg.s_page2;
     cpu.Cpu.pc <- seg.s_end_va;
-    exec_code ctx seg.s_code;
+    exec_code seg.s_code;
     retire ctx seg.s_insns;
     Perf.add ctx.perf Perf.Uops seg.s_uops;
     if s + 1 >= Array.length segs then s
@@ -1432,41 +1144,22 @@ struct
     Perf.incr ctx.perf Perf.Trace_dispatches;
     Array.unsafe_get tr.t_blocks (run_segs ctx tr 0)
 
-  (* Leaving at a switch point.  The DBT honours switch requests at
-     block/trace boundaries (the same granularity as interrupt delivery),
-     so the stop lands a few instructions past the phase write — the
-     runner reports the overshoot as [insns_into_kernel] and the resumed
-     run credits it back.  Batched timer ticks are flushed so the snapshot
-     sees the timer state a cold run would at this instruction. *)
-  let flush_timer ctx =
-    if ctx.timer_backlog > 0 then begin
-      Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-      ctx.timer_backlog <- 0
-    end
-
-  let switch_stop ctx =
-    flush_timer ctx;
-    raise (Stop Run_result.Switch_point)
-
-  (* Phase boundary: flush batched device time at the next dispatch check
-     (block granularity, like interrupt delivery) so timer state realigns
-     to the retired-instruction count at every phase edge. *)
-  let phase_sync ctx benchdev =
-    flush_timer ctx;
-    Sb_mem.Benchdev.clear_sync benchdev;
-    if Sb_mem.Benchdev.stop_pending benchdev then switch_stop ctx
-
+  (* Phase syncs and switch requests are honoured at block and trace
+     boundaries (the same granularity as interrupt delivery), so a switch
+     stop lands a few instructions past the phase write: the runner reports
+     the overshoot as [insns_into_kernel] and the resumed run credits it
+     back. *)
   let execute ctx ~max_insns =
     let cpu = ctx.cpu in
+    let machine = ctx.g.machine in
     let last = ref no_block in
-    let benchdev = ctx.machine.Machine.benchdev in
     try
       while Perf.get ctx.perf Perf.Insns < max_insns do
-        if Sb_mem.Benchdev.sync_pending benchdev then phase_sync ctx benchdev;
-        if Machine.irq_pending ctx.machine then begin
+        if Sb_mem.Benchdev.sync_pending machine.Machine.benchdev then
+          Guest.phase_sync ctx.g;
+        if Machine.irq_pending machine then begin
           sync_state ctx;
-          deliver ctx ~vector:Exn.Irq ~cause:Exn.Cause.irq ~far:None
-            ~return_addr:cpu.Cpu.pc;
+          deliver ctx Exn.Irq ~cause:Exn.Cause.irq ~far:None ~return_addr:cpu.Cpu.pc;
           last := no_block
         end
         else begin
@@ -1504,61 +1197,32 @@ struct
               ctx.cur_page <- blk.page;
               ctx.cur_page2 <- blk.page2;
               cpu.Cpu.pc <- blk.end_va;
-              exec_code ctx blk.code;
+              exec_code blk.code;
               retire ctx blk.insns;
               Perf.add ctx.perf Perf.Uops blk.uops_total;
               last := blk)
           with
-          | Guest_fault { vector; cause; far; return_addr; retired } ->
+          | Guest.Fault { vector; cause; far; return_addr; retired } ->
             retire ctx retired;
-            deliver ctx ~vector ~cause ~far ~return_addr;
+            deliver ctx vector ~cause ~far ~return_addr;
             last := no_block
           | Smc_restart { resume_va; retired } ->
             retire ctx retired;
             cpu.Cpu.pc <- resume_va;
             last := no_block
-          | Stop_in_block { reason; retired } ->
+          | Guest.Stop { reason; retired } ->
             retire ctx retired;
-            raise (Stop reason)
+            raise (Guest.Stop { reason; retired = 0 })
         end
       done;
       Run_result.Insn_limit
-    with Stop reason -> reason
+    with Guest.Stop { reason; retired = _ } -> reason
 
-  (* Any run exit flushes the batched ticks, so snapshots taken between
-     runs carry complete device time (see interp). *)
-  let execute ctx ~max_insns =
-    let stop = execute ctx ~max_insns in
-    flush_timer ctx;
-    stop
-
-  (* Keep the last run's translations (block cache, traces, micro-TLBs)
-     when the machine is unchanged ([(machine, state_gen)] match): a
-     debugger stepping the same machine stays warm instead of
-     re-translating per instruction, while external state changes
-     (load_program, reset, snapshot restore) force a rebuild. *)
-  let session : (Machine.t * int * ctx) option ref = ref None
-
-  let ctx_for machine =
-    match !session with
-    | Some (m, gen, ctx)
-      when m == machine && gen = machine.Machine.state_gen ->
-      (* the ctx owns its counter array — compiled blocks and the threaded
-         host capture it — so a new run starts it from zero in place *)
-      Perf.reset ctx.perf;
-      ctx
-    | _ ->
-      let ctx = make_ctx machine (Perf.create ()) in
-      session := Some (machine, machine.Machine.state_gen, ctx);
-      ctx
-
+  (* The last run's translations (block cache, traces, micro-TLBs) are
+     kept while the machine is unchanged. *)
+  let session = Guest.session ()
   let run ?max_insns machine =
-    let max_insns =
-      match max_insns with Some n -> n | None -> !Runner.insn_budget
-    in
-    let ctx = ctx_for machine in
-    Runner.wrap ~name ~machine ~perf:ctx.perf
-      ~execute:(fun () -> execute ctx ~max_insns)
+    Guest.run session ~name ~make:make_ctx ~execute ?max_insns machine
 end
 
 module Make (A : Arch_sig.ARCH) =

@@ -3,8 +3,8 @@ open Sb_sim
 
 (* Token-threaded backend: [compile] lowers a block's (or trace segment's)
    optimised IR into a flat [int array] opstream — an opcode word followed by
-   its operand words, terminated by END — executed by [exec]'s
-   tail-dispatched loop.  No per-uop closure is allocated and no pointer is
+   its operand words, terminated by END — executed by the
+   tail-dispatched loop [prepare] returns.  No per-uop closure is allocated and no pointer is
    chased per retired micro-op: dispatch is one array read and one jump-table
    branch (OCaml compiles a dense integer match into a jump table).
 
@@ -77,19 +77,16 @@ type host = {
     iidx:int ->
     unit;
   h_store_smc : ppage:int -> resume_va:int -> iidx:int -> unit;
-  h_svc : ret:int -> iidx:int -> unit;
-  h_undef : iva:int -> iidx:int -> unit;
   h_cop_write : creg:int -> value:int -> iva:int -> iidx:int -> unit;
   h_tlb_inv_page : va:int -> unit;
   h_tlb_inv_all : unit -> unit;
   h_wfi : iidx:int -> unit;
-  h_halt : iidx:int -> unit;
 }
 
 (* ---------------- opcode table ---------------------------------------- *)
 (* Operand words follow each opcode; the executor's match arms must use
    integer literals to compile to a jump table, so keep this list and the
-   match in [exec] in lockstep.  d/l/s/ln/lm are locations (0..15 guest
+   match in [prepare] in lockstep.  d/l/s/ln/lm are locations (0..15 guest
    register, 16 slot A, 17 slot B); k..=0 means the next word is an
    immediate, k..=1 a location; link is a location or -1. *)
 
@@ -895,12 +892,10 @@ let prepare h (p : program) =
       wr (ip + 3) a b (g (ip + 1)) (g (ip + 2))
     | 42 (* SVC *) ->
       spill a b;
-      h.h_svc ~ret:(g (ip + 2)) ~iidx:(g (ip + 3));
-      go (ip + 4) a b
+      Guest.syscall ~return_addr:(g (ip + 2)) ~retired:(g (ip + 3))
     | 43 (* UNDEF *) ->
       spill a b;
-      h.h_undef ~iva:(g (ip + 1)) ~iidx:(g (ip + 2));
-      go (ip + 3) a b
+      Guest.undefined ~iaddr:(g (ip + 1)) ~retired:(g (ip + 2))
     | 44 (* ERET *) ->
       Exn.eret cpu;
       go (ip + 1) a b
@@ -925,8 +920,7 @@ let prepare h (p : program) =
       go (ip + 2) a b
     | 50 (* HALT *) ->
       spill a b;
-      h.h_halt ~iidx:(g (ip + 1));
-      go (ip + 2) a b
+      Guest.halt ~retired:(g (ip + 1))
     | 51 (* ADDIP *) ->
       let d = g (ip + 1) in
       Array.unsafe_set regs d
@@ -957,8 +951,6 @@ let prepare h (p : program) =
     go 0
       (if ra >= 0 then Array.unsafe_get regs ra else 0)
       (if rb >= 0 then Array.unsafe_get regs rb else 0)
-
-let exec h p = prepare h p ()
 
 (* ---------------- semantic model for the translation validator --------- *)
 

@@ -2,9 +2,10 @@
 
     [compile] lowers a translation unit's optimised IR (one basic block, or
     one segment of a stitched trace) into a flat [int array] opstream —
-    opcode word + operand words per micro-op, END-terminated — and [exec]
-    runs it with a tail-dispatched loop: one array read and one jump-table
-    branch per token, no per-uop closure allocation.
+    opcode word + operand words per micro-op, END-terminated — and the
+    runner {!prepare} returns runs it with a tail-dispatched loop: one
+    array read and one jump-table branch per token, no per-uop closure
+    allocation.
 
     The two hottest guest registers of the unit (static reference count,
     {!choose_slots}) are carried in the dispatch loop's parameters instead
@@ -32,9 +33,12 @@ type program = {
 }
 
 (** Callbacks into the owning engine for everything the opstream cannot do
-    inline.  Callbacks that can raise are invoked only after cached
-    registers have been spilled, so fault delivery observes architectural
-    register state. *)
+    inline: the memory slow paths, SMC invalidation, translation changes,
+    TLB maintenance and WFI.  SVC, undefined instructions and HALT raise
+    {!Sb_sim.Guest.Fault} and {!Sb_sim.Guest.Stop} from the opstream
+    itself.  Anything that can raise runs only after cached registers have
+    been spilled, so fault delivery observes architectural register
+    state. *)
 type host = {
   h_cpu : Sb_sim.Cpu.t;
   h_perf : Sb_sim.Perf.t;
@@ -64,13 +68,10 @@ type host = {
     iidx:int ->
     unit;
   h_store_smc : ppage:int -> resume_va:int -> iidx:int -> unit;
-  h_svc : ret:int -> iidx:int -> unit;
-  h_undef : iva:int -> iidx:int -> unit;
   h_cop_write : creg:int -> value:int -> iva:int -> iidx:int -> unit;
   h_tlb_inv_page : va:int -> unit;
   h_tlb_inv_all : unit -> unit;
   h_wfi : iidx:int -> unit;
-  h_halt : iidx:int -> unit;
 }
 
 val choose_slots : ?spill_points:int -> Ir.insn array -> int * int
@@ -102,14 +103,11 @@ val compile :
 
 val prepare : host -> program -> unit -> unit
 (** Bind an opstream to a host once, returning a runner that dispatches
-    it from the top.  All environment setup (field loads, the dispatch
-    closures) happens at [prepare] time, so each call of the runner costs
-    one indirect call — translation caches the runner per block. *)
-
-val exec : host -> program -> unit
-(** [prepare] + run once.  Run an opstream to completion (its END token).  Guest faults, SMC
-    restarts and stops propagate as the owning engine's exceptions out of
-    the host callbacks. *)
+    it from the top to its END token.  All environment setup (field loads,
+    the dispatch closures) happens at [prepare] time, so each call of the
+    runner costs one indirect call — translation caches the runner per
+    block.  Guest faults, stops and the owning engine's SMC restarts
+    propagate out of the runner. *)
 
 val model : mmu:bool -> program -> (int * int * Sb_isa.Uop.t list) list
 (** Decode a compiled program back to [(va, len, uops)] per instruction —

@@ -12,9 +12,9 @@ module type CONFIG = sig
   val technique : technique
 end
 
-let page_shift = 12
-let page_size = 1 lsl page_shift
-let page_mask = page_size - 1
+let page_shift = Guest.page_shift
+let page_size = Guest.page_size
+let page_mask = Guest.page_mask
 
 (* Fast interpreter: the unified TLB, and a direct-mapped fetch front
    cache from virtual page to predecoded page array. *)
@@ -62,15 +62,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   let vm_exit_rounds =
     match C.technique with Direct { vm_exit_rounds } -> vm_exit_rounds | _ -> 0
 
-  exception Guest_fault of {
-    vector : Exn.vector;
-    cause : int;
-    far : int option;
-    return_addr : int;
-  }
-
-  exception Stop of Run_result.stop_reason
-
   (* One slot of interp's fetch front cache.  A hit proves: this virtual
      page translated to the page whose predecode array is [fs_arr], with
      execute permission, under this ASID and privilege, and no
@@ -90,17 +81,18 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   type stage = Fetch | Decode | Execute of Uop.decoded | Memory | Writeback
 
   type ctx = {
-    machine : Machine.t;
+    g : Guest.t;
+    (* the guest's CPU, bus and counters, which the hot paths read here
+       with one load *)
     cpu : Cpu.t;
     bus : Sb_mem.Bus.t;
     perf : Perf.t;
     (* modelled TLBs: interp's unified TLB is both, detailed's are split *)
-    itlb : Sb_mmu.Tlb.t;
-    dtlb : Sb_mmu.Tlb.t;
+    itlb : Sb_mmu.Page_cache.t;
+    dtlb : Sb_mmu.Page_cache.t;
     host_tlb : int array;
     mutable tlb_gen : int;
     decode_cache : (int, Uop.decoded option array) Hashtbl.t;
-    code_pages : Bytes.t;  (* pages holding predecoded instructions *)
     fetch_front : fetch_slot array;
     mutable fetch_gen : int;
         (* the front cache's tag: bumped on any event that may change
@@ -118,7 +110,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     mutable cycles : int;
     mutable mem_accesses : int list;  (* physical addresses touched by the current insn *)
     mutable extra_latency : int;      (* walk latencies accumulated during translation *)
-    mutable timer_backlog : int;
   }
 
   let empty_arr : Uop.decoded option array = [||]
@@ -148,9 +139,8 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   (* [prev] is the context this one replaces, which nothing can reach any
      more: its host TLB is taken over at the next generation, and its
      predecode arrays become spares. *)
-  let make_ctx ?prev machine perf =
-    let ram_pages = (Sb_mem.Bus.ram_size machine.Machine.bus + page_mask) / page_size in
-    let cpu = machine.Machine.cpu in
+  let make_ctx ?prev (g : Guest.t) =
+    let cpu = g.cpu in
     (* the world switch copies these with unchecked loops *)
     if
       vm_exit_rounds > 0
@@ -165,22 +155,25 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       | Some prev when host_tlb -> (prev.host_tlb, next_gen prev.host_tlb prev.tlb_gen)
       | _ -> ((if host_tlb then Array.make vpn_space 0 else [||]), 1)
     in
-    let itlb = Sb_mmu.Tlb.create ~entries:(if detailed then 32 else tlb_entries) in
+    (* level 1 alone, flushed eagerly *)
+    let tlb entries =
+      Sb_mmu.Page_cache.create ~l1_entries:entries ~l2_entries:0 ~lazy_flush:false
+    in
+    let itlb = tlb (if detailed then 32 else tlb_entries) in
     (* only the detailed model reads its caches; the others get one line *)
     let cache size_bytes =
       Cache_model.create ~size_bytes:(if detailed then size_bytes else 32) ~line_bytes:32
     in
     {
-      machine;
+      g;
       cpu;
-      bus = machine.Machine.bus;
-      perf;
+      bus = g.bus;
+      perf = g.perf;
       itlb;
-      dtlb = (if detailed then Sb_mmu.Tlb.create ~entries:64 else itlb);
+      dtlb = (if detailed then tlb 64 else itlb);
       host_tlb;
       tlb_gen;
       decode_cache = Hashtbl.create 64;
-      code_pages = Bytes.make ((ram_pages + 7) / 8) '\000';
       fetch_front =
         (if front_cache then
            Array.init fetch_front_size (fun _ ->
@@ -204,7 +197,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       cycles = 0;
       mem_accesses = [];
       extra_latency = 0;
-      timer_backlog = 0;
     }
 
   (* ------------- traps -------------------------------------------------- *)
@@ -257,60 +249,33 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
 
   (* ------------- faults ------------------------------------------------- *)
 
-  (* Every abort returns to the faulting instruction, also when the fault
-     is on a tail byte of an instruction that straddles a page. *)
-  let abort ~iaddr ~kind ~va cause =
-    let vector =
-      match kind with
-      | Sb_mmu.Access.Execute -> Exn.Prefetch_abort
-      | Sb_mmu.Access.Read | Sb_mmu.Access.Write -> Exn.Data_abort
-    in
-    raise (Guest_fault { vector; cause; far = Some va; return_addr = iaddr })
-
+  (* The core's unit is one instruction: a fault retires nothing of it. *)
   let data_fault ~iaddr ~kind ~va fault =
-    abort ~iaddr ~kind ~va (Exn.Cause.of_fault ~kind fault)
-
-  let bus_fault ~iaddr ~kind ~va = abort ~iaddr ~kind ~va Exn.Cause.bus_error
+    Guest.data_fault ~iaddr ~retired:0 ~kind ~va fault
+  let bus_fault ~iaddr ~kind ~va = Guest.bus_fault ~iaddr ~retired:0 ~kind ~va
 
   let undef ctx ~iaddr =
     (* undefined instructions trap to the hypervisor before being
        reflected back into the guest *)
     vm_exit ctx 3;
-    raise
-      (Guest_fault
-         { vector = Exn.Undefined; cause = Exn.Cause.undefined; far = None; return_addr = iaddr })
+    Guest.undefined ~iaddr ~retired:0
 
   (* ------------- translation -------------------------------------------- *)
-
-  let walker_read32 ctx pa =
-    try Sb_mem.Bus.read32 ctx.bus pa with Sb_mem.Bus.Fault _ -> 0
 
   (* A page-table walk on a translation miss.  Walk latency accrues for
      the detailed pipeline, the only reader of [extra_latency]. *)
   let walk ctx ~va ~kind ~iaddr =
-    Perf.incr ctx.perf Perf.Mmu_walks;
-    let ttbr = ctx.cpu.Cpu.cop.(Cregs.ttbr) in
-    match Sb_mmu.Walker.walk ~read32:(walker_read32 ctx) ~ttbr ~va with
-    | Error fault -> data_fault ~iaddr ~kind ~va fault
-    | Ok m ->
-      Perf.add ctx.perf Perf.Walk_levels m.Sb_mmu.Walker.levels;
-      ctx.extra_latency <-
-        ctx.extra_latency + (m.Sb_mmu.Walker.levels * walk_level_latency);
-      m
+    let m = Guest.walk ctx.g ~va ~kind ~iaddr ~retired:0 in
+    ctx.extra_latency <-
+      ctx.extra_latency + (m.Sb_mmu.Walker.levels * walk_level_latency);
+    m
 
-  (* the physical address of [va] under a walked mapping, if it permits
-     the access *)
-  let walked (m : Sb_mmu.Walker.mapping) ~va ~kind ~priv ~iaddr =
-    if Sb_mmu.Access.Ap.permits ~ap:m.Sb_mmu.Walker.ap ~xn:m.Sb_mmu.Walker.xn kind priv
-    then m.Sb_mmu.Walker.pa_page lor (va land page_mask)
-    else data_fault ~iaddr ~kind ~va Sb_mmu.Access.Permission
-
-  let pack ctx ~ppn ~ap ~xn ~asid =
+  let pack ctx (m : Sb_mmu.Walker.mapping) ~asid =
     (ctx.tlb_gen lsl 32)
     lor ((asid land 0xFF) lsl 24)
-    lor (ppn lsl 4)
-    lor (ap lsl 2)
-    lor (Bool.to_int xn lsl 1)
+    lor ((m.Sb_mmu.Walker.pa_page lsr page_shift) lsl 4)
+    lor (m.Sb_mmu.Walker.ap lsl 2)
+    lor (Bool.to_int m.Sb_mmu.Walker.xn lsl 1)
     lor 1
 
   (* index mixes the ASID; for a fixed ASID the mapping is injective in the
@@ -321,50 +286,45 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
      each use below, so each technique gets its own tight copy. *)
   let[@inline] tlb_translate ctx tlb ~asid ~va ~kind ~priv ~iaddr =
     let vpn = va lsr page_shift in
-    match Sb_mmu.Tlb.lookup tlb ~vpn ~asid with
-    | Some e ->
-      Perf.incr ctx.perf Perf.Tlb_hit;
-      if Sb_mmu.Access.Ap.permits ~ap:e.Sb_mmu.Tlb.ap ~xn:e.Sb_mmu.Tlb.xn kind priv
-      then (e.Sb_mmu.Tlb.ppn lsl page_shift) lor (va land page_mask)
-      else data_fault ~iaddr ~kind ~va Sb_mmu.Access.Permission
-    | None ->
-      Perf.incr ctx.perf Perf.Tlb_miss;
-      let m = walk ctx ~va ~kind ~iaddr in
-      Sb_mmu.Tlb.insert tlb
-        {
-          Sb_mmu.Tlb.vpn;
-          ppn = m.Sb_mmu.Walker.pa_page lsr page_shift;
-          ap = m.Sb_mmu.Walker.ap;
-          xn = m.Sb_mmu.Walker.xn;
-          asid;
-        };
-      walked m ~va ~kind ~priv ~iaddr
+    let e =
+      match Sb_mmu.Page_cache.lookup_l1 tlb ~vpn ~asid with
+      | Some e ->
+        Perf.incr ctx.perf Perf.Tlb_hit;
+        e
+      | None ->
+        Perf.incr ctx.perf Perf.Tlb_miss;
+        Sb_mmu.Page_cache.fill tlb ~vpn ~asid (walk ctx ~va ~kind ~iaddr)
+    in
+    if
+      Sb_mmu.Access.Ap.permits ~ap:e.Sb_mmu.Page_cache.ap ~xn:e.Sb_mmu.Page_cache.xn
+        kind priv
+    then (e.Sb_mmu.Page_cache.ppn lsl page_shift) lor (va land page_mask)
+    else data_fault ~iaddr ~kind ~va Sb_mmu.Access.Permission
 
   let translate ctx ~va ~kind ~priv ~iaddr =
     if not (Cpu.mmu_enabled ctx.cpu) then va
     else if host_tlb then begin
-      let vpn = va lsr page_shift in
       let asid = ctx.cpu.Cpu.cop.(Cregs.asid) in
-      let slot = ctx.host_tlb.(slot_index ~vpn ~asid) in
+      let i = slot_index ~vpn:(va lsr page_shift) ~asid in
+      let slot = ctx.host_tlb.(i) in
+      let slot =
+        if
+          slot land 1 = 1
+          && slot lsr 32 = ctx.tlb_gen
+          && (slot lsr 24) land 0xFF = asid land 0xFF
+        then slot
+        else begin
+          (* hardware walk: free of simulator bookkeeping beyond the loads *)
+          let slot = pack ctx (walk ctx ~va ~kind ~iaddr) ~asid in
+          ctx.host_tlb.(i) <- slot;
+          slot
+        end
+      in
       if
-        slot land 1 = 1
-        && slot lsr 32 = ctx.tlb_gen
-        && (slot lsr 24) land 0xFF = asid land 0xFF
-      then begin
-        let ap = (slot lsr 2) land 3 in
-        let xn = slot land 2 <> 0 in
-        if Sb_mmu.Access.Ap.permits ~ap ~xn kind priv then
-          (((slot lsr 4) land 0xFFFFF) lsl page_shift) lor (va land page_mask)
-        else data_fault ~iaddr ~kind ~va Sb_mmu.Access.Permission
-      end
-      else begin
-        (* hardware walk: free of simulator bookkeeping beyond the loads *)
-        let m = walk ctx ~va ~kind ~iaddr in
-        ctx.host_tlb.(slot_index ~vpn ~asid) <-
-          pack ctx ~ppn:(m.Sb_mmu.Walker.pa_page lsr page_shift) ~ap:m.Sb_mmu.Walker.ap
-            ~xn:m.Sb_mmu.Walker.xn ~asid;
-        walked m ~va ~kind ~priv ~iaddr
-      end
+        Sb_mmu.Access.Ap.permits ~ap:((slot lsr 2) land 3) ~xn:(slot land 2 <> 0)
+          kind priv
+      then (((slot lsr 4) land 0xFFFFF) lsl page_shift) lor (va land page_mask)
+      else data_fault ~iaddr ~kind ~va Sb_mmu.Access.Permission
     end
     else if detailed then
       (* split TLBs, untagged: every entry is filed under ASID 0 *)
@@ -391,8 +351,8 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   let flush_translation ctx =
     if host_tlb then ctx.tlb_gen <- next_gen ctx.host_tlb ctx.tlb_gen
     else begin
-      Sb_mmu.Tlb.flush ctx.itlb;
-      if detailed then Sb_mmu.Tlb.flush ctx.dtlb;
+      Sb_mmu.Page_cache.flush ctx.itlb;
+      if detailed then Sb_mmu.Page_cache.flush ctx.dtlb;
       ctx.fetch_gen <- ctx.fetch_gen + 1
     end
 
@@ -402,76 +362,39 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       ctx.host_tlb.(slot_index ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)) <- 0
     else begin
       let asid = if detailed then 0 else ctx.cpu.Cpu.cop.(Cregs.asid) in
-      Sb_mmu.Tlb.invalidate_page ctx.itlb ~vpn ~asid;
-      if detailed then Sb_mmu.Tlb.invalidate_page ctx.dtlb ~vpn ~asid;
+      Sb_mmu.Page_cache.invalidate_page ctx.itlb ~vpn ~asid;
+      if detailed then Sb_mmu.Page_cache.invalidate_page ctx.dtlb ~vpn ~asid;
       ctx.fetch_gen <- ctx.fetch_gen + 1
     end
 
   (* ------------- memory ------------------------------------------------- *)
 
-  (* code-page bitmap for self-modifying-code detection *)
-  let code_bit_get ctx ppage =
-    Char.code (Bytes.get ctx.code_pages (ppage lsr 3)) land (1 lsl (ppage land 7)) <> 0
+  (* A store to a page holding predecoded instructions clears its array in
+     place: the array is reused when the code is re-decoded, as a
+     pre-decoding interpreter would. *)
+  let smc_invalidate ctx ppage =
+    (match Hashtbl.find ctx.decode_cache ppage with
+    | arr -> Array.fill arr 0 page_size None
+    | exception Not_found -> ());
+    Guest.code_invalidated ctx.g ppage
 
-  let code_bit_set ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) lor (1 lsl (ppage land 7))))
-
-  let code_bit_clear ctx ppage =
-    let i = ppage lsr 3 in
-    Bytes.set ctx.code_pages i
-      (Char.chr (Char.code (Bytes.get ctx.code_pages i) land lnot (1 lsl (ppage land 7))))
-
-  let smc_check ctx pa =
-    let ppage = pa lsr page_shift in
-    if code_bit_get ctx ppage then begin
-      (* clear in place: the page array is reused when the code is
-         re-decoded, as a pre-decoding interpreter would *)
-      (match Hashtbl.find ctx.decode_cache ppage with
-      | arr -> Array.fill arr 0 page_size None
-      | exception Not_found -> ());
-      code_bit_clear ctx ppage;
-      Perf.incr ctx.perf Perf.Smc_invalidations
-    end
-
+  (* device accesses are trapped and emulated under virtualization *)
   let read_phys ctx ~iaddr ~va width pa =
-    if Sb_mem.Bus.is_ram ctx.bus pa then
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.read8 ram pa
-      | Uop.W16 -> Sb_mem.Phys_mem.read16 ram pa
-      | Uop.W32 -> Sb_mem.Phys_mem.read32 ram pa
+    if Sb_mem.Bus.is_ram ctx.bus pa then Guest.read_ram ctx.bus width pa
     else begin
-      (* device access: trapped and emulated under virtualization *)
       vm_exit ctx 1;
-      Perf.incr ctx.perf Perf.Io_reads;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.read8 ctx.bus pa
-        | Uop.W16 -> Sb_mem.Bus.read16 ctx.bus pa
-        | Uop.W32 -> Sb_mem.Bus.read32 ctx.bus pa
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~kind:Sb_mmu.Access.Read ~va
+      Guest.read_io ctx.g ~iaddr ~retired:0 ~va width pa
     end
 
   let write_phys ctx ~iaddr ~va width pa v =
     if Sb_mem.Bus.is_ram ctx.bus pa then begin
-      let ram = Sb_mem.Bus.ram ctx.bus in
-      (match width with
-      | Uop.W8 -> Sb_mem.Phys_mem.write8 ram pa v
-      | Uop.W16 -> Sb_mem.Phys_mem.write16 ram pa v
-      | Uop.W32 -> Sb_mem.Phys_mem.write32 ram pa v);
-      smc_check ctx pa
+      Guest.write_ram ctx.bus width pa v;
+      let ppage = pa lsr page_shift in
+      if Guest.is_code ctx.g ppage then smc_invalidate ctx ppage
     end
     else begin
       vm_exit ctx 2;
-      Perf.incr ctx.perf Perf.Io_writes;
-      try
-        match width with
-        | Uop.W8 -> Sb_mem.Bus.write8 ctx.bus pa v
-        | Uop.W16 -> Sb_mem.Bus.write16 ctx.bus pa v
-        | Uop.W32 -> Sb_mem.Bus.write32 ctx.bus pa v
-      with Sb_mem.Bus.Fault _ -> bus_fault ~iaddr ~kind:Sb_mmu.Access.Write ~va
+      Guest.write_io ctx.g ~iaddr ~retired:0 ~va width pa v
     end
 
   (* ------------- fetch -------------------------------------------------- *)
@@ -489,14 +412,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     Perf.incr ctx.perf Perf.Decodes;
     A.decode ~fetch8:(fetch_byte ctx ~iaddr:va) ~addr:va
 
-  (* the predecode array of a physical page fetched from for the first
-     time *)
-  let new_page ctx ppage =
-    let arr = page_array () in
-    Hashtbl.add ctx.decode_cache ppage arr;
-    code_bit_set ctx ppage;
-    arr
-
   let decode_into ctx arr ~va ~pa =
     let d = decode_at ctx va in
     (* never cache an instruction that straddles a page: its tail bytes
@@ -505,26 +420,42 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     else begin
       arr.(pa land page_mask) <- Some d;
       (* the page holds decoded state again: re-arm write detection *)
-      code_bit_set ctx (pa lsr page_shift);
+      Guest.mark_code ctx.g (pa lsr page_shift);
       d
     end
+
+  (* the physical address of an instruction fetch, which must be RAM *)
+  let[@inline] fetch_pa ctx va =
+    let pa =
+      translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr:va
+    in
+    if Sb_mem.Bus.is_ram ctx.bus pa then pa
+    else bus_fault ~iaddr:va ~kind:Sb_mmu.Access.Execute ~va
+
+  (* A physical page's predecode array, made on the first fetch from it.
+     [find] rather than [find_opt]: a loop that spans two code pages
+     switches pages every iteration, and a hit must not allocate. *)
+  let[@inline] predecode_page ctx ppage =
+    match Hashtbl.find ctx.decode_cache ppage with
+    | arr -> arr
+    | exception Not_found ->
+      let arr = page_array () in
+      Hashtbl.add ctx.decode_cache ppage arr;
+      Guest.mark_code ctx.g ppage;
+      arr
+
+  let[@inline] predecoded ctx arr ~va ~pa =
+    match Array.unsafe_get arr (pa land page_mask) with
+    | Some d when d.Uop.addr = va -> d
+    | _ -> decode_into ctx arr ~va ~pa
 
   (* interp's fetch past its front cache, and every fetch without
      predecoding *)
   let fetch_decode_slow ctx va =
-    let pa =
-      translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode ~iaddr:va
-    in
-    if not (Sb_mem.Bus.is_ram ctx.bus pa) then
-      bus_fault ~iaddr:va ~kind:Sb_mmu.Access.Execute ~va
-    else if not front_cache then decode_at ctx va
+    let pa = fetch_pa ctx va in
+    if not front_cache then decode_at ctx va
     else begin
-      let ppage = pa lsr page_shift in
-      let arr =
-        match Hashtbl.find ctx.decode_cache ppage with
-        | arr -> arr
-        | exception Not_found -> new_page ctx ppage
-      in
+      let arr = predecode_page ctx (pa lsr page_shift) in
       (* the translation above vouched for (vpn, asid, mode) -> arr with
          execute permission; remember it for subsequent fetches *)
       let vpn = va lsr page_shift in
@@ -534,40 +465,24 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       slot.fs_gen <- ctx.fetch_gen;
       slot.fs_mode <- ctx.cpu.Cpu.mode;
       slot.fs_arr <- arr;
-      match arr.(pa land page_mask) with
-      | Some d when d.Uop.addr = va -> d
-      | _ -> decode_into ctx arr ~va ~pa
+      predecoded ctx arr ~va ~pa
     end
 
   (* direct execution's fetch: every fetch translates, and fetches on the
      current page reuse its predecode array *)
   let host_fetch ctx va =
-    let pa =
-      translate ctx ~va ~kind:Sb_mmu.Access.Execute ~priv:ctx.cpu.Cpu.mode
-        ~iaddr:va
-    in
-    if not (Sb_mem.Bus.is_ram ctx.bus pa) then
-      bus_fault ~iaddr:va ~kind:Sb_mmu.Access.Execute ~va;
+    let pa = fetch_pa ctx va in
     let ppage = pa lsr page_shift in
     let arr =
       if ctx.cur_fetch_page = ppage then ctx.cur_fetch_arr
       else begin
-        (* [find] rather than [find_opt]: a loop that spans two code
-           pages switches pages every iteration, and a hit must not
-           allocate *)
-        let arr =
-          match Hashtbl.find ctx.decode_cache ppage with
-          | arr -> arr
-          | exception Not_found -> new_page ctx ppage
-        in
+        let arr = predecode_page ctx ppage in
         ctx.cur_fetch_page <- ppage;
         ctx.cur_fetch_arr <- arr;
         arr
       end
     in
-    match Array.unsafe_get arr (pa land page_mask) with
-    | Some d when d.Uop.addr = va -> d
-    | _ -> decode_into ctx arr ~va ~pa
+    predecoded ctx arr ~va ~pa
 
   (* interp's fetch *)
   let fetch_decode ctx va =
@@ -656,15 +571,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
             | Uop.Direct _ -> Perf.Branch_cross_direct
             | Uop.Indirect _ -> Perf.Branch_cross_indirect)
       end
-    | Uop.Svc _ ->
-      raise
-        (Guest_fault
-           {
-             vector = Exn.Syscall;
-             cause = Exn.Cause.syscall;
-             far = None;
-             return_addr = d.Uop.addr + d.Uop.length;
-           })
+    | Uop.Svc _ -> Guest.syscall ~return_addr:(d.Uop.addr + d.Uop.length) ~retired:0
     | Uop.Undef -> undef ctx ~iaddr:d.Uop.addr
     | Uop.Eret -> Exn.eret cpu
     | Uop.Cop_read { rd; creg } -> (
@@ -694,10 +601,8 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       flush_translation ctx
     | Uop.Wfi -> (
       vm_exit ctx 4;
-      match Runner.wait_for_interrupt ctx.machine ~perf:ctx.perf with
-      | `Wake -> ()
-      | `Deadlock -> raise (Stop Run_result.Wfi_deadlock))
-    | Uop.Halt -> raise (Stop Run_result.Halted)
+      Guest.wait_for_interrupt ctx.g ~retired:0)
+    | Uop.Halt -> Guest.halt ~retired:0
 
   (* a loop rather than [List.iter (exec_uop ctx d)], whose partial
      application allocates a closure per instruction *)
@@ -774,117 +679,51 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
 
   (* ------------- exceptions, device time, the run loop -------------------- *)
 
-  let deliver ctx vector cause far return_addr =
-    Perf.incr ctx.perf Perf.Exceptions_total;
-    (match vector with
-    | Exn.Data_abort -> Perf.incr ctx.perf Perf.Data_abort
-    | Exn.Prefetch_abort -> Perf.incr ctx.perf Perf.Prefetch_abort
-    | Exn.Undefined -> Perf.incr ctx.perf Perf.Undef_insn
-    | Exn.Syscall -> Perf.incr ctx.perf Perf.Svc_taken
-    | Exn.Irq -> Perf.incr ctx.perf Perf.Irq_taken
-    | Exn.Reset -> ());
+  let deliver ctx vector ~cause ~far ~return_addr =
     if detailed then ctx.cycles <- ctx.cycles + exception_latency;
-    Exn.enter ctx.cpu vector ~return_addr ?far ~cause ()
-
-  let flush_timer ctx =
-    if ctx.timer_backlog > 0 then begin
-      Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-      ctx.timer_backlog <- 0
-    end
-
-  (* Leaving at a switch point: push any batched timer ticks to the device
-     so the snapshot (and the engine that resumes it) sees the same timer
-     state a cold run would at this instruction. *)
-  let switch_stop ctx =
-    flush_timer ctx;
-    raise (Stop Run_result.Switch_point)
-
-  (* A phase boundary was crossed: flush batched device time so timer
-     state is a pure function of retired instructions at every phase
-     edge — a run resumed from a phase snapshot then ticks identically
-     to one that crossed the boundary itself. *)
-  let phase_sync ctx benchdev =
-    flush_timer ctx;
-    Sb_mem.Benchdev.clear_sync benchdev;
-    if Sb_mem.Benchdev.stop_pending benchdev then switch_stop ctx
-
-  let execute ctx ~max_insns =
-    let steps = ref 0 in
-    let benchdev = ctx.machine.Machine.benchdev in
-    try
-      while !steps < max_insns do
-        if Sb_mem.Benchdev.sync_pending benchdev then phase_sync ctx benchdev;
-        if Machine.irq_pending ctx.machine then begin
-          (* interrupt injection goes through the virtualization layer *)
-          vm_exit ctx 5;
-          deliver ctx Exn.Irq Exn.Cause.irq None ctx.cpu.Cpu.pc
-        end
-        else begin
-          (try
-             if host_tlb then exec_insn ctx (host_fetch ctx ctx.cpu.Cpu.pc)
-             else if detailed then step_insn ctx
-             else exec_insn ctx (fetch_decode ctx ctx.cpu.Cpu.pc)
-           with Guest_fault { vector; cause; far; return_addr } ->
-             if detailed then Event_queue.clear ctx.events;
-             deliver ctx vector cause far return_addr);
-          incr steps;
-          ctx.timer_backlog <- ctx.timer_backlog + 1;
-          if ctx.timer_backlog >= 64 then begin
-            Sb_mem.Timer.advance ctx.machine.Machine.timer ctx.timer_backlog;
-            ctx.timer_backlog <- 0
-          end
-        end
-      done;
-      Run_result.Insn_limit
-    with Stop reason ->
-      if detailed then Event_queue.clear ctx.events;
-      reason
-
-  (* Any run exit flushes the batched ticks: at every run boundary the
-     timer count is then an exact function of retired instructions, so a
-     snapshot taken between runs (engine switch, debugger step) carries
-     complete device time and no ticks are stranded in the context. *)
-  let execute ctx ~max_insns =
-    let stop = execute ctx ~max_insns in
-    flush_timer ctx;
-    stop
-
-  (* The last run's translation state (TLBs, decode cache, fetch front,
-     cache models) is kept and revalidated against [(machine, state_gen)]:
-     a debugger stepping the same machine reuses it instead of re-deriving
-     everything per instruction, while any external state change
-     (load_program, reset, snapshot restore, Machine.touch) forces a
-     rebuild, which recycles the replaced context's tables (see
-     [make_ctx]): the session holds the only reference to it, and engines
-     are not re-entrant. *)
-  let session : (Machine.t * int * ctx) option ref = ref None
-
-  let ctx_for machine =
-    match !session with
-    | Some (m, gen, ctx)
-      when m == machine && gen = machine.Machine.state_gen ->
-      (* the ctx owns its counter array (compiled state may capture it);
-         a new run starts it from zero in place *)
-      Perf.reset ctx.perf;
-      ctx
-    | prev ->
-      let prev = Option.map (fun (_, _, ctx) -> ctx) prev in
-      let ctx = make_ctx ?prev machine (Perf.create ()) in
-      session := Some (machine, machine.Machine.state_gen, ctx);
-      ctx
+    Guest.deliver ctx.g vector ~cause ~far ~return_addr
 
   let cycles_of_last_run = ref 0
   let last_cycles () = !cycles_of_last_run
 
-  let run ?max_insns machine =
-    let max_insns =
-      match max_insns with Some n -> n | None -> !Runner.insn_budget
-    in
-    let ctx = ctx_for machine in
-    let result =
-      Runner.wrap ~name ~machine ~perf:ctx.perf
-        ~execute:(fun () -> execute ctx ~max_insns)
+  let execute ctx ~max_insns =
+    let g = ctx.g in
+    let machine = g.machine in
+    let steps = ref 0 in
+    let stop =
+      try
+        while !steps < max_insns do
+          if Sb_mem.Benchdev.sync_pending machine.Machine.benchdev then
+            Guest.phase_sync g;
+          if Machine.irq_pending machine then begin
+            (* interrupt injection goes through the virtualization layer *)
+            vm_exit ctx 5;
+            deliver ctx Exn.Irq ~cause:Exn.Cause.irq ~far:None ~return_addr:ctx.cpu.Cpu.pc
+          end
+          else begin
+            (try
+               if host_tlb then exec_insn ctx (host_fetch ctx ctx.cpu.Cpu.pc)
+               else if detailed then step_insn ctx
+               else exec_insn ctx (fetch_decode ctx ctx.cpu.Cpu.pc)
+             with Guest.Fault { vector; cause; far; return_addr; retired = _ } ->
+               if detailed then Event_queue.clear ctx.events;
+               deliver ctx vector ~cause ~far ~return_addr);
+            incr steps;
+            Guest.tick g 1
+          end
+        done;
+        Run_result.Insn_limit
+      with Guest.Stop { reason; retired = _ } ->
+        if detailed then Event_queue.clear ctx.events;
+        reason
     in
     cycles_of_last_run := ctx.cycles;
-    result
+    stop
+
+  (* The last run's translation state (TLBs, decode cache, fetch front,
+     cache models) is kept while the machine is unchanged, and a rebuild
+     recycles the replaced context's tables (see [make_ctx]). *)
+  let session = Guest.session ()
+  let run ?max_insns machine =
+    Guest.run session ~name ~make:make_ctx ~execute ?max_insns machine
 end

@@ -2,11 +2,11 @@
     direct-execution engines ([Sb_virt.Virt]) and the detailed timing model
     ([Sb_detailed.Detailed]).
 
-    One copy of the guest semantics serves all four: micro-op execution,
-    faults, physical memory access, self-modifying-code invalidation,
-    exception delivery, batched timer ticks, phase synchronisation and the
-    per-machine session.  The engines differ only by technique, as the
-    paper's Figure 4 tells them apart:
+    One copy of micro-op execution serves all four, over the guest runtime
+    every engine shares ({!Sb_sim.Guest}: faults, physical access, the
+    code-page bitmap, exception entry, device time and the session).  The
+    engines differ only by technique, as the paper's Figure 4 tells them
+    apart:
 
     {v
     engine    translation                fetch                            trap cost
@@ -19,10 +19,11 @@
                                          through a five-stage pipeline
     v}
 
-    Counters follow the technique: [Tlb_hit]/[Tlb_miss] only with a
-    modelled TLB, [Front_cache_hits] and the cross-page branch counters
-    only on the fast interpreter, [Vm_exits] only when exits cost rounds.
-    Every abort returns to the faulting instruction. *)
+    The modelled TLBs are {!Sb_mmu.Page_cache} instances with one level,
+    flushed eagerly.  Counters follow the technique: [Tlb_hit]/[Tlb_miss]
+    only with a modelled TLB, [Front_cache_hits] and the cross-page branch
+    counters only on the fast interpreter, [Vm_exits] only when exits cost
+    rounds.  Every abort returns to the faulting instruction. *)
 
 type technique =
   | Fast_interp of { predecode : bool }

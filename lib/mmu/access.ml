@@ -10,7 +10,7 @@ module Ap = struct
   let user_full = 2
   let kernel_read = 3
 
-  let permits ~ap ~xn kind priv =
+  let[@inline] permits ~ap ~xn kind priv =
     match kind with
     | Execute ->
       if xn then false

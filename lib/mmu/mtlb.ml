@@ -31,8 +31,6 @@ let create ~entries =
     gen = 0;
   }
 
-let entries t = Array.length t.keys
-
 let probe t ~vpn ~asid ~priv =
   let i = vpn land t.mask in
   if
@@ -54,5 +52,3 @@ let invalidate_page t ~vpn =
   if t.keys.(i) >= 0 && t.keys.(i) land vpn_mask = vpn then t.keys.(i) <- -1
 
 let flush t = t.gen <- t.gen + 1
-
-let generation t = t.gen

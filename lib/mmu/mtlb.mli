@@ -1,9 +1,9 @@
 (** Host-side micro-TLB: a direct-mapped (virtual page -> host byte offset)
     cache used by the DBT's flat-memory fast path.
 
-    Unlike {!Tlb} (which models a guest-visible TLB for timing studies),
-    this structure is a host optimization: a hit is a proof that at fill
-    time the translation was walked, permitted, and resolved to a page
+    Unlike {!Page_cache} (the software TLB whose hits and misses engines
+    count), this structure is a host optimization: a hit is a proof that at
+    fill time the translation was walked, permitted, and resolved to a page
     wholly resident in flat RAM, so the caller may access {!Sb_mem.Phys_mem}
     via its unchecked accessors.  Entries are tagged with (vpn, asid,
     privilege) and a generation number; [flush] is O(1) — it bumps the
@@ -18,8 +18,6 @@ type t
 val create : entries:int -> t
 (** [entries] must be a positive power of two. *)
 
-val entries : t -> int
-
 val probe : t -> vpn:int -> asid:int -> priv:int -> int
 (** Host byte offset of the page base in flat RAM, or [-1] on miss. *)
 
@@ -31,5 +29,3 @@ val invalidate_page : t -> vpn:int -> unit
 
 val flush : t -> unit
 (** Invalidate every entry in O(1) by bumping the generation. *)
-
-val generation : t -> int

@@ -12,7 +12,6 @@ type t = {
   l2_mask : int;
   lazy_flush : bool;
   mutable gen : int;
-  mutable last_flush_cost : int;
 }
 
 let check_pow2 what n =
@@ -31,12 +30,13 @@ let create ~l1_entries ~l2_entries ~lazy_flush =
     l2_mask = l2_entries - 1;
     lazy_flush;
     gen = 0;
-    last_flush_cost = 0;
   }
 
-let mix ~vpn ~asid = vpn lxor (asid * 0x9E3779B1)
+(* mix the ASID into the index so address spaces do not contend for the
+   same direct-mapped slot *)
+let[@inline] mix ~vpn ~asid = vpn lxor (asid * 0x9E3779B1)
 
-let lookup_l1 t ~vpn ~asid =
+let[@inline] lookup_l1 t ~vpn ~asid =
   let i = mix ~vpn ~asid land t.l1_mask in
   match Array.unsafe_get t.l1 i with
   | Some e as hit
@@ -80,6 +80,13 @@ let insert t e =
   | _ -> ());
   set_l1 t (Some e) ~vpn:e.vpn ~asid:e.asid
 
+let fill t ~vpn ~asid (m : Walker.mapping) =
+  let e =
+    { vpn; ppn = m.Walker.pa_page lsr 12; ap = m.Walker.ap; xn = m.Walker.xn; asid }
+  in
+  insert t e;
+  e
+
 let invalidate_page t ~vpn ~asid =
   let i1 = mix ~vpn ~asid land t.l1_mask in
   (match t.l1.(i1) with
@@ -93,14 +100,8 @@ let invalidate_page t ~vpn ~asid =
   end
 
 let flush t =
-  if t.lazy_flush then begin
-    t.gen <- t.gen + 1;
-    t.last_flush_cost <- 0
-  end
+  if t.lazy_flush then t.gen <- t.gen + 1
   else begin
     Array.fill t.l1 0 (Array.length t.l1) None;
-    Array.fill t.l2 0 (Array.length t.l2) None;
-    t.last_flush_cost <- Array.length t.l1 + Array.length t.l2
+    Array.fill t.l2 0 (Array.length t.l2) None
   end
-
-let flush_cost t = t.last_flush_cost

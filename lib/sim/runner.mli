@@ -1,6 +1,5 @@
-(** Shared engine plumbing: wall-clock measurement, kernel-phase perf
-    snapshots, WFI waiting, result assembly.  Engines implement only their
-    execution loop and delegate the rest here. *)
+(** The process-wide instruction budget that bounds every engine run
+    ({!Guest.run}). *)
 
 val default_max_insns : int
 
@@ -15,17 +14,3 @@ val insn_budget : int ref
 val set_insn_budget : int -> unit
 (** Set {!insn_budget}; raises [Invalid_argument] on a non-positive
     budget. *)
-
-val wrap :
-  name:string ->
-  machine:Machine.t ->
-  perf:Perf.t ->
-  execute:(unit -> Run_result.stop_reason) ->
-  Run_result.t
-(** Runs [execute] with phase-snapshot callbacks installed on the machine's
-    bench device, and assembles the {!Run_result.t}. *)
-
-val wait_for_interrupt : Machine.t -> perf:Perf.t -> [ `Wake | `Deadlock ]
-(** Architectural WFI: advance the timer until the interrupt controller has
-    an enabled line pending (wake even if the CPU masks IRQs, as real WFI
-    does).  Returns [`Deadlock] when no interrupt source can ever fire. *)

@@ -2,7 +2,7 @@
 
 module Uop = Sb_isa.Uop
 module Ir = Sb_dbt.Ir
-module Pc = Sb_dbt.Page_cache
+module Pc = Sb_mmu.Page_cache
 
 let mk_insn ?(va = 0x1000) ?(len = 4) uops = { Ir.va; len; uops }
 
@@ -181,37 +181,29 @@ let test_page_cache_l2_promotion () =
   (* lookup_l2 promotes back to L1 *)
   Alcotest.(check bool) "promoted" true (Pc.lookup_l1 pc ~vpn:1 ~asid:0 <> None)
 
+(* an eager and a lazy flush both empty every entry of both levels, and an
+   entry filled after a flush hits *)
 let test_page_cache_flush_modes () =
-  let eager = Pc.create ~l1_entries:8 ~l2_entries:8 ~lazy_flush:false in
-  Pc.insert eager (entry 1 1);
-  Pc.flush eager;
-  Alcotest.(check bool) "eager cleared" true (Pc.lookup_l1 eager ~vpn:1 ~asid:0 = None);
-  Alcotest.(check bool) "eager pays" true (Pc.flush_cost eager > 0);
-  let lazy_ = Pc.create ~l1_entries:8 ~l2_entries:8 ~lazy_flush:true in
-  Pc.insert lazy_ (entry 1 1);
-  Pc.flush lazy_;
-  Alcotest.(check bool) "lazy cleared" true (Pc.lookup_l1 lazy_ ~vpn:1 ~asid:0 = None);
-  Alcotest.(check int) "lazy free" 0 (Pc.flush_cost lazy_);
-  (* entries inserted after a lazy flush are visible *)
-  Pc.insert lazy_ (entry 2 2);
-  Alcotest.(check bool) "new gen entry" true (Pc.lookup_l1 lazy_ ~vpn:2 ~asid:0 <> None)
-
-(* the eager cost is the whole geometry (both levels are cleared), and it is
-   re-reported per flush; the lazy path reports 0 forever *)
-let test_page_cache_flush_cost_reporting () =
-  let eager = Pc.create ~l1_entries:8 ~l2_entries:32 ~lazy_flush:false in
-  Alcotest.(check int) "no flush yet" 0 (Pc.flush_cost eager);
-  Pc.flush eager;
-  Alcotest.(check int) "eager cost = l1+l2" 40 (Pc.flush_cost eager);
-  Pc.flush eager;
-  Alcotest.(check int) "cost again" 40 (Pc.flush_cost eager);
-  let no_l2 = Pc.create ~l1_entries:16 ~l2_entries:0 ~lazy_flush:false in
-  Pc.flush no_l2;
-  Alcotest.(check int) "l1-only cost" 16 (Pc.flush_cost no_l2);
-  let lazy_ = Pc.create ~l1_entries:8 ~l2_entries:32 ~lazy_flush:true in
-  Pc.flush lazy_;
-  Pc.flush lazy_;
-  Alcotest.(check int) "lazy always free" 0 (Pc.flush_cost lazy_)
+  List.iter
+    (fun lazy_flush ->
+      let mode = if lazy_flush then "lazy" else "eager" in
+      let check what = Alcotest.(check bool) (mode ^ " " ^ what) true in
+      let pc = Pc.create ~l1_entries:8 ~l2_entries:32 ~lazy_flush in
+      for vpn = 0 to 7 do
+        Pc.insert pc (entry vpn vpn)
+      done;
+      (* conflicts demote vpns 0-7 into L2 *)
+      for vpn = 8 to 15 do
+        Pc.insert pc (entry vpn vpn)
+      done;
+      Pc.flush pc;
+      for vpn = 0 to 15 do
+        check (Printf.sprintf "vpn %d gone" vpn)
+          (Pc.lookup_l1 pc ~vpn ~asid:0 = None && Pc.lookup_l2 pc ~vpn ~asid:0 = None)
+      done;
+      Pc.insert pc (entry 2 2);
+      check "refill hits" (Pc.lookup_l1 pc ~vpn:2 ~asid:0 <> None))
+    [ false; true ]
 
 (* lazy flushing is generation bumping: stale entries in both levels become
    invisible without being cleared, every flush opens a fresh generation,
@@ -521,7 +513,6 @@ let () =
           Alcotest.test_case "l1" `Quick test_page_cache_l1;
           Alcotest.test_case "l2 promotion" `Quick test_page_cache_l2_promotion;
           Alcotest.test_case "flush modes" `Quick test_page_cache_flush_modes;
-          Alcotest.test_case "flush cost" `Quick test_page_cache_flush_cost_reporting;
           Alcotest.test_case "lazy generations" `Quick test_page_cache_lazy_generations;
           Alcotest.test_case "l2 disabled" `Quick test_page_cache_l2_disabled;
           Alcotest.test_case "invalidate page" `Quick test_page_cache_invalidate_page;

@@ -827,6 +827,127 @@ let test_vlx_page_straddling_insn () =
         machine.Machine.cpu.Sb_sim.Cpu.regs.(2))
     vlx_engines
 
+(* The three permission faults, each on a page whose translation is
+   already cached from a permitted access: a kernel store to a kernel_read
+   page, a user-privilege LDRT from a kernel_only page (both data aborts,
+   ELR at the access) and a fetch from an xn page (a prefetch abort, ELR
+   and FAR at the page).  Every engine reports the same vector, ESR, FAR
+   and ELR.  How each finds the fault differs by technique, and the walk
+   counts pin it: interp, virt and native fault on the TLB hit, the DBT's
+   data paths re-walk on a permission miss as QEMU does (its fetch path
+   faults on the hit), and detailed's fetch misses in its separate I-TLB. *)
+let test_sba_permission_faults () =
+  let ttbr = 0x0010_0000 and l2_base = 0x0011_0000 and out = 0x30000 in
+  let ro_page = 0x0040_0000 and kernel_page = 0x0040_1000 and xn_page = 0x0040_2000 in
+  let program =
+    SI.Asm.assemble ~base:0 ~entry:"start"
+      ([ Label "start" ] @ sba_set_vbar
+      @ sba_insns
+          (SI.li 0 ttbr
+          @ [ SI.Mcr (Sb_isa.Cregs.ttbr, 0); SI.Movw (0, 1); SI.Mcr (Sb_isa.Cregs.sctlr, 0) ]
+          @ SI.li 12 out @ [ SI.Movw (11, 0) ]
+          @ SI.li 5 ro_page
+          @ [ SI.Ldr (2, 5, 0) ])
+      @ [ Label "ro_store" ]
+      @ sba_insns (SI.Str (2, 5, 0) :: SI.li 5 kernel_page @ [ SI.Ldr (2, 5, 0) ])
+      @ [ Label "user_load" ]
+      @ sba_insns
+          ((SI.Ldrt (2, 5, 0) :: SI.li 5 xn_page)
+          @ [ SI.Ldr (2, 5, 0) ] @ SI.la 9 "fetched" @ [ SI.Br 5 ])
+      @ [ Label "fetched" ]
+      @ sba_insns [ SI.Halt ]
+      (* record (vector, ESR, FAR, ELR) at out + r11 *)
+      @ [ Label "dabt_handler" ]
+      @ sba_insns [ SI.Movw (8, 1); SI.B "record" ]
+      @ [ Label "pabt_handler" ]
+      @ sba_insns [ SI.Movw (8, 2) ]
+      @ [ Label "record" ]
+      @ sba_insns
+          [
+            SI.Add (7, 12, SI.Rm 11);
+            SI.Str (8, 7, 0);
+            SI.Mrc (6, Sb_isa.Cregs.esr);
+            SI.Str (6, 7, 4);
+            SI.Mrc (6, Sb_isa.Cregs.far);
+            SI.Str (6, 7, 8);
+            SI.Mrc (6, Sb_isa.Cregs.elr);
+            SI.Str (6, 7, 12);
+            SI.Add (11, 11, SI.Imm 16);
+            SI.Cmp (8, SI.Imm 1);
+            SI.Bcc (Uop.Eq, "skip");
+            (* a prefetch abort returns to [fetched] *)
+            SI.Mcr (Sb_isa.Cregs.elr, 9);
+            SI.Eret;
+          ]
+      @ [ Label "skip" ]
+      @ sba_insns
+          [
+            SI.Mrc (6, Sb_isa.Cregs.elr);
+            SI.Add (6, 6, SI.Imm 4);
+            SI.Mcr (Sb_isa.Cregs.elr, 6);
+            SI.Eret;
+          ]
+      @ sba_vectors ~reset:"start" ~undef:"start" ~svc:"start" ~pabt:"pabt_handler"
+          ~dabt:"dabt_handler" ~irq:"start")
+  in
+  let expected =
+    [
+      (1, Sb_sim.Exn.Cause.data_permission, ro_page, Sb_asm.Program.symbol program "ro_store");
+      ( 1,
+        Sb_sim.Exn.Cause.data_permission,
+        kernel_page,
+        Sb_asm.Program.symbol program "user_load" );
+      (2, Sb_sim.Exn.Cause.prefetch_permission, xn_page, xn_page);
+    ]
+  in
+  (* walks per engine, in [sba_engines] order *)
+  let walks = [ 8; 7; 7; 7; 7; 6; 5; 5 ] in
+  List.iter2
+    (fun engine walks ->
+      let machine = Machine.create ~ram_size:(4 * 1024 * 1024) () in
+      Machine.load_program machine program;
+      let ram = Sb_mem.Bus.ram machine.Machine.bus in
+      (* the first 1 MiB identity-mapped as a section, kernel RW+X; the
+         three test pages table-mapped *)
+      Sb_mem.Phys_mem.write32 ram
+        (ttbr + (Sb_mmu.Pte.l1_index 0 * 4))
+        (Sb_mmu.Pte.encode_section ~pa_base:0 ~ap:Sb_mmu.Access.Ap.kernel_only ~xn:false);
+      Sb_mem.Phys_mem.write32 ram
+        (ttbr + (Sb_mmu.Pte.l1_index ro_page * 4))
+        (Sb_mmu.Pte.encode_table ~l2_base);
+      List.iter
+        (fun (va, pa_base, ap, xn) ->
+          Sb_mem.Phys_mem.write32 ram
+            (l2_base + (Sb_mmu.Pte.l2_index va * 4))
+            (Sb_mmu.Pte.encode_page ~pa_base ~ap ~xn))
+        [
+          (ro_page, 0x0005_0000, Sb_mmu.Access.Ap.kernel_read, false);
+          (kernel_page, 0x0005_1000, Sb_mmu.Access.Ap.kernel_only, false);
+          (xn_page, 0x0005_2000, Sb_mmu.Access.Ap.kernel_only, true);
+        ];
+      let result = Sb_sim.Engine.run engine ~max_insns:100_000 machine in
+      let name = Sb_sim.Engine.name engine in
+      check_halted result;
+      List.iteri
+        (fun i (vector, esr, far, elr) ->
+          let word k = Sb_mem.Phys_mem.read32 ram (out + (16 * i) + (4 * k)) in
+          let check what = Alcotest.(check int) (Printf.sprintf "%s fault %d %s" name i what) in
+          check "vector" vector (word 0);
+          check "ESR" esr (word 1);
+          check "FAR" far (word 2);
+          check "ELR" elr (word 3))
+        expected;
+      let perf = result.Sb_sim.Run_result.perf in
+      Alcotest.(check (list int))
+        (name ^ " data aborts, prefetch aborts, walks")
+        [ 2; 1; walks ]
+        [
+          Sb_sim.Perf.get perf Sb_sim.Perf.Data_abort;
+          Sb_sim.Perf.get perf Sb_sim.Perf.Prefetch_abort;
+          Sb_sim.Perf.get perf Sb_sim.Perf.Mmu_walks;
+        ])
+    sba_engines walks
+
 let test_vlx_straddling_prefetch_abort () =
   (* a 6-byte MOVI at 0x1FFD whose tail lies on the unmapped page at
      0x2000: the prefetch abort reports the tail byte in FAR and returns to
@@ -991,6 +1112,7 @@ let () =
             test_vlx_page_straddling_insn;
           Alcotest.test_case "vlx straddling prefetch abort" `Quick
             test_vlx_straddling_prefetch_abort;
+          Alcotest.test_case "sba permission faults" `Quick test_sba_permission_faults;
         ] );
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
