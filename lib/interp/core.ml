@@ -26,8 +26,14 @@ let fetch_front_mask = fetch_front_size - 1
 (* Direct execution: a flat "hardware" translation cache, one packed slot
    per virtual page of the whole 32-bit space.  Layout:
    [gen | asid:8 | ppn:20 | ap:2 | xn:1 | valid:1] — a tagged hardware TLB,
-   so address-space switches need no flush. *)
+   so address-space switches need no flush.  The table is a zero mapping
+   (see [Sb_mem.Phys_mem.zero_buf]): a slot of 0 is invalid, and host
+   memory backs only the pages of slots some run has written. *)
 let vpn_space = 1 lsl 20
+
+type host_tlb = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let no_host_tlb : host_tlb = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
 
 (* the largest generation whose tag survives [lsl 32] in a positive int *)
 let max_tlb_gen = max_int lsr 32
@@ -90,7 +96,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     (* modelled TLBs: interp's unified TLB is both, detailed's are split *)
     itlb : Sb_mmu.Page_cache.t;
     dtlb : Sb_mmu.Page_cache.t;
-    host_tlb : int array;
+    host_tlb : host_tlb;
     mutable tlb_gen : int;
     decode_cache : (int, Uop.decoded option array) Hashtbl.t;
     fetch_front : fetch_slot array;
@@ -117,10 +123,10 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   (* Advance the host TLB to a fresh generation, which invalidates every
      slot at once.  Only a tag that would overflow costs a pass over the
      table. *)
-  let next_gen host_tlb gen =
+  let next_gen (host_tlb : host_tlb) gen =
     if gen < max_tlb_gen then gen + 1
     else begin
-      Array.fill host_tlb 0 vpn_space 0;
+      Bigarray.Array1.fill host_tlb 0;
       1
     end
 
@@ -153,7 +159,10 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     let host_tlb, tlb_gen =
       match prev with
       | Some prev when host_tlb -> (prev.host_tlb, next_gen prev.host_tlb prev.tlb_gen)
-      | _ -> ((if host_tlb then Array.make vpn_space 0 else [||]), 1)
+      | _ ->
+        ( (if host_tlb then Sb_mem.Phys_mem.zero_buf Bigarray.int 0 vpn_space
+           else no_host_tlb),
+          1 )
     in
     (* level 1 alone, flushed eagerly *)
     let tlb entries =
@@ -306,7 +315,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     else if host_tlb then begin
       let asid = ctx.cpu.Cpu.cop.(Cregs.asid) in
       let i = slot_index ~vpn:(va lsr page_shift) ~asid in
-      let slot = ctx.host_tlb.(i) in
+      let slot = ctx.host_tlb.{i} in
       let slot =
         if
           slot land 1 = 1
@@ -316,7 +325,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
         else begin
           (* hardware walk: free of simulator bookkeeping beyond the loads *)
           let slot = pack ctx (walk ctx ~va ~kind ~iaddr) ~asid in
-          ctx.host_tlb.(i) <- slot;
+          ctx.host_tlb.{i} <- slot;
           slot
         end
       in
@@ -359,7 +368,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
   let invalidate_page ctx va =
     let vpn = va lsr page_shift in
     if host_tlb then
-      ctx.host_tlb.(slot_index ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)) <- 0
+      ctx.host_tlb.{slot_index ~vpn ~asid:ctx.cpu.Cpu.cop.(Cregs.asid)} <- 0
     else begin
       let asid = if detailed then 0 else ctx.cpu.Cpu.cop.(Cregs.asid) in
       Sb_mmu.Page_cache.invalidate_page ctx.itlb ~vpn ~asid;

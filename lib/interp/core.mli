@@ -13,24 +13,31 @@
     interp    modelled unified TLB       front cache over predecoded      direct
                                          pages
     virt      flat tagged host TLB       current-page fetch over          vm-exit rounds
-                                         predecoded pages
+              on zero pages              predecoded pages
     native    flat tagged host TLB       current-page fetch               direct
+              on zero pages
     detailed  split untagged TLBs        a decode on every fetch,         direct
                                          through a five-stage pipeline
     v}
 
-    The modelled TLBs are {!Sb_mmu.Page_cache} instances with one level,
-    flushed eagerly.  Counters follow the technique: [Tlb_hit]/[Tlb_miss]
-    only with a modelled TLB, [Front_cache_hits] and the cross-page branch
-    counters only on the fast interpreter, [Vm_exits] only when exits cost
-    rounds.  Every abort returns to the faulting instruction. *)
+    The flat host TLB has one slot per 4 KiB page of the 32-bit space, in
+    a zero mapping ({!Sb_mem.Phys_mem.zero_buf}): host memory backs only
+    the pages of slots some run has written, outside the OCaml heap.  A
+    rebuilt context takes its predecessor's table over at a fresh tag
+    generation.  The modelled TLBs are {!Sb_mmu.Page_cache} instances
+    with one level, flushed eagerly.  Counters follow the technique:
+    [Tlb_hit]/[Tlb_miss] only with a modelled TLB, [Front_cache_hits] and
+    the cross-page branch counters only on the fast interpreter,
+    [Vm_exits] only when exits cost rounds.  Every abort returns to the
+    faulting instruction. *)
 
 type technique =
   | Fast_interp of { predecode : bool }
       (** without [predecode], a decode on every fetch and no front
           cache *)
   | Direct of { vm_exit_rounds : int }
-      (** state save/restore rounds per vm-exit; 0 takes none *)
+      (** the flat host TLB, resident only where written, and state
+          save/restore rounds per vm-exit; 0 takes none *)
   | Detailed
       (** cycles from a discrete-event pipeline with modelled L1 caches *)
 

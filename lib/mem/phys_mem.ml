@@ -19,18 +19,18 @@ let page_size = 1 lsl page_shift
    accepts only on a descriptor open for writing.  The mapping outlives
    the descriptor, and the bigarray's finaliser unmaps it.  Where the
    device cannot be opened or mapped, an ordinary bigarray filled with
-   zeros has the same contents, and is resident from the start. *)
-let zero_buf size =
+   [zero] has the same contents, and is resident from the start. *)
+let zero_buf kind zero n =
   match
     let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR ] 0 in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
-      (fun () -> Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
+      (fun () -> Unix.map_file fd kind Bigarray.c_layout false [| n |])
   with
   | mapped -> Bigarray.array1_of_genarray mapped
   | exception Unix.Unix_error _ ->
-    let data = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
-    Bigarray.Array1.fill data '\000';
+    let data = Bigarray.Array1.create kind Bigarray.c_layout n in
+    Bigarray.Array1.fill data zero;
     data
 
 let create ~size =
@@ -41,7 +41,7 @@ let create ~size =
     if size > 0 && size land (size - 1) = 0 then lnot (size - 1) else 0
   in
   {
-    data = zero_buf size;
+    data = zero_buf Bigarray.char '\000' size;
     dirty = Bytes.make ((size + page_size - 1) lsr page_shift) '\000';
     size;
     hi_mask;

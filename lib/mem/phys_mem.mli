@@ -28,9 +28,22 @@ type t
 
 exception Out_of_range of int
 
+val zero_buf :
+  ('a, 'b) Bigarray.kind -> 'a -> int -> ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
+(** [zero_buf kind zero n] is a vector of [n] elements of [kind], all
+    [zero], which must be the element whose bytes are all zero.  It is a
+    private mapping of [/dev/zero], the backing of guest RAM here and of
+    the direct-execution engines' host TLBs: no element is stored when it
+    is made, a host page becomes resident only once an element on it is
+    written, and the OCaml heap grows by the bigarray's header alone.
+    Where [/dev/zero] cannot be opened or mapped, it is an ordinary
+    bigarray filled with [zero], with the same contents but resident
+    from the start. *)
+
 val create : size:int -> t
-(** Fresh zero-filled memory of [size] bytes, with no page marked.  The
-    OCaml heap grows by the dirty map only (one byte per page). *)
+(** Fresh zero-filled memory of [size] bytes from {!zero_buf}, with no
+    page marked.  The OCaml heap grows by the dirty map only (one byte
+    per page). *)
 
 val size : t -> int
 

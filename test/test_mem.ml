@@ -260,28 +260,16 @@ let test_phys_mem_off_heap () =
     Alcotest.failf "a 32 MiB memory grew the major heap by %d words" grown;
   Alcotest.(check int) "size" ram_size (Sb_mem.Phys_mem.size (Sys.opaque_identity m))
 
-let vm_rss_kib () =
-  In_channel.with_open_text "/proc/self/status" (fun ic ->
-      let rec scan () =
-        match In_channel.input_line ic with
-        | None -> Alcotest.fail "no VmRSS line in /proc/self/status"
-        | Some line -> (
-          match Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id with
-          | Some kib -> kib
-          | None -> scan ())
-      in
-      scan ())
-
 let test_phys_mem_resident_on_touch () =
   if not (Sys.file_exists "/proc/self/status") then
     print_endline "skipped: no /proc/self/status on this host"
   else begin
-    let before = vm_rss_kib () in
+    let before = Proc_status.vm_rss_kib () in
     let m = Sb_mem.Phys_mem.create ~size:ram_size in
     List.iter
       (fun addr -> Sb_mem.Phys_mem.write32 m addr 0xDEADBEEF)
       [ 0; ram_size / 2; ram_size - 4 ];
-    let grown = vm_rss_kib () - before in
+    let grown = Proc_status.vm_rss_kib () - before in
     if grown >= 4 * 1024 then
       Alcotest.failf "a 32 MiB memory with three pages written grew VmRSS by %d KiB"
         grown;

@@ -95,9 +95,45 @@ let test_virt_cost_scales () =
     true
     (expensive > 2. *. cheap)
 
+(* The host TLB of virt and native is a zero mapping: a run grows neither
+   the major heap nor the resident set by the table's 8 MiB, only by the
+   pages of the slots it writes.  The engines are instantiated here and
+   kept reachable until measured, since each one's session holds its
+   table.  The case runs first in this suite: a table that an earlier
+   case built and dropped would leave freed memory, in the heap or the
+   allocator, for a new one to reuse unseen.  A run on interp first brings
+   in the harness's pooled RAM and the pages the bench writes. *)
+let test_host_tlb_off_heap () =
+  let module Fresh_virt = Sb_virt.Virt.Make_virt (Sb_arch_sba.Arch) in
+  let module Fresh_native = Sb_virt.Virt.Make_native (Sb_arch_sba.Arch) in
+  let arch = Sb_isa.Arch_sig.Sba in
+  let run engine =
+    ignore
+      (Simbench.Harness.run ~support:(Simbench.Engines.support arch) ~engine
+         Simbench.Suite.hot_memory_access)
+  in
+  run (Simbench.Engines.interp arch);
+  let has_status = Sys.file_exists "/proc/self/status" in
+  let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
+  let heap_before = heap_words () in
+  let rss_before = if has_status then Proc_status.vm_rss_kib () else 0 in
+  let engines : Sb_sim.Engine.t list = [ (module Fresh_virt); (module Fresh_native) ] in
+  List.iter run engines;
+  let grown = heap_words () - heap_before in
+  if grown >= 64 * 1024 then
+    Alcotest.failf "virt and native grew the major heap by %d words" grown;
+  if not has_status then print_endline "skipped: no /proc/self/status on this host"
+  else begin
+    let grown = Proc_status.vm_rss_kib () - rss_before in
+    if grown >= 4 * 1024 then Alcotest.failf "virt and native grew VmRSS by %d KiB" grown
+  end;
+  ignore (Sys.opaque_identity engines)
+
 let () =
   Alcotest.run "sb_virt"
     [
+      ( "memory",
+        [ Alcotest.test_case "host TLB off the heap" `Quick test_host_tlb_off_heap ] );
       ( "vm-exits",
         [
           Alcotest.test_case "per device access" `Quick test_vm_exits_per_device_access;
