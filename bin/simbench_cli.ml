@@ -2,7 +2,7 @@
 
    Subcommands:
      list        enumerate benchmarks, engines, workloads and DBT versions
-     run         run one benchmark on one engine
+     run         run one benchmark or workload on one engine
      suite       run the full suite on one engine and print the table
      workload    run one SPEC-analog workload
      chaos       deterministic fault injection + differential convergence
@@ -190,20 +190,23 @@ let run_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name from Figure 3.")
+      & info [] ~docv:"BENCHMARK"
+          ~doc:
+            "A Figure 3 or extension benchmark, or a SPEC-analog workload \
+             (which runs 40 kernel passes unless $(b,--iters) is given).")
   in
   let counters_arg =
     Arg.(
       value & flag
       & info [ "counters" ] ~doc:"Print the kernel-phase perf counters.")
   in
-  let action arch engine_name bench_name scale iters counters switch_at
+  let action arch engine_name name scale iters counters switch_at
       setup_engine_name ckpt_dir =
-    match find_bench bench_name with
-    | None ->
-      Printf.eprintf "unknown benchmark %S; try the list command\n" bench_name;
+    match Sb_report.Experiments.target_of_name name with
+    | Error msg ->
+      Printf.eprintf "%s; try the list command\n" msg;
       1
-    | Some bench ->
+    | Ok target ->
       with_engine arch engine_name (fun engine ->
           let support = Simbench.Engines.support arch in
           let setup_engine =
@@ -221,8 +224,13 @@ let run_cmd =
               ckpt_dir
           in
           let o =
-            Simbench.Harness.run ~scale ?iters ?switch_at ?setup_engine
-              ?checkpoints ~support ~engine bench
+            match target with
+            | Sb_report.Experiments.Bench bench ->
+              Simbench.Harness.run ~scale ?iters ?switch_at ?setup_engine
+                ?checkpoints ~support ~engine bench
+            | Sb_report.Experiments.Workload w ->
+              Sb_workloads.Workloads.run ?iters ?switch_at ?setup_engine
+                ?checkpoints ~support ~engine w
           in
           print_outcome o;
           if counters then begin
@@ -237,7 +245,8 @@ let run_cmd =
           end;
           0)
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one benchmark on one engine.")
+  Cmd.v
+    (Cmd.info "run" ~doc:"Run one benchmark or workload on one engine.")
     Term.(
       const action $ arch_arg $ engine_arg $ bench_arg $ scale_arg $ iters_arg
       $ counters_arg $ switch_at_arg $ setup_engine_arg $ ckpt_arg)

@@ -4,7 +4,7 @@
    The on-disk store is Sb_jobs.Cache with keys prefixed "ckpt_", so the
    checkpoint files live beside the result cache, inherit its atomic
    write-then-rename discipline, and are swept for corruption at create
-   time. *)
+   time; each file is a stream of records (see [write]). *)
 
 type point = Kernel_phase | At_insns of int
 
@@ -63,6 +63,30 @@ let key ~arch ~bench ~iters ~ram_size ~setup_engine ~point
         (program.Sb_asm.Program.base, program.Sb_asm.Program.entry),
         Digest.bytes program.Sb_asm.Program.image )
 
+(* A checkpoint file streams the snapshot as records after the key: the
+   snapshot without its pages together with the page count, one record per
+   resident page, then the end record.  Save, load and the create-time
+   sweep hold one page record at a time, never an image-sized string. *)
+let write (snap : Sb_sim.Snapshot.t) oc =
+  let pages = snap.Sb_sim.Snapshot.s_pages in
+  Sb_jobs.Cache.output_record oc
+    ({ snap with Sb_sim.Snapshot.s_pages = [] }, List.length pages);
+  List.iter (Sb_jobs.Cache.output_record oc) pages;
+  Sb_jobs.Cache.output_end oc
+
+let read ic : Sb_sim.Snapshot.t =
+  match Sb_jobs.Cache.input_record ic with
+  | None -> failwith "checkpoint without a header"
+  | Some ((header : Sb_sim.Snapshot.t), (count : int)) ->
+    let rec pages acc n =
+      match (Sb_jobs.Cache.input_record ic : (int * string) option) with
+      | Some page -> pages (page :: acc) (n + 1)
+      | None when n = count -> List.rev acc
+      | None ->
+        failwith (Printf.sprintf "%d page records, header says %d" n count)
+    in
+    { header with Sb_sim.Snapshot.s_pages = pages [] 0 }
+
 (* Disk hits are validated here, once: a snapshot whose pages fail their
    digest is evicted like any other corrupt cache entry and reported as a
    miss.  Memo hits were validated when they entered [loaded], so restores
@@ -71,7 +95,7 @@ let load t ~key : Sb_sim.Snapshot.t option =
   match Hashtbl.find_opt t.loaded key with
   | Some _ as hit -> hit
   | None -> (
-    match Sb_jobs.Cache.load t.cache ~key with
+    match Sb_jobs.Cache.load_channel t.cache ~key read with
     | None -> None
     | Some snap -> (
       match Sb_sim.Snapshot.validate snap with
@@ -86,7 +110,7 @@ let load t ~key : Sb_sim.Snapshot.t option =
    checkpoint, and the one later read-back both proves the file round-trips
    and populates the memo — a truncated or tampered file is then caught by
    the next load instead of being masked by a memo hit *)
-let save t ~key (snap : Sb_sim.Snapshot.t) = Sb_jobs.Cache.store t.cache ~key snap
+let save t ~key snap = Sb_jobs.Cache.store_channel t.cache ~key (write snap)
 
 exception Fast_forward_failed of string
 

@@ -1,8 +1,10 @@
 type t = { dir : string }
 
 (* Version tag of the checkpoint store layered on this cache (keys prefixed
-   [ckpt_], values of type Sb_sim.Snapshot.t).  Folded into [schema] so any
-   checkpoint-format change invalidates every fingerprint along with it. *)
+   [ckpt_], streamed snapshot records).  Folded into [schema], so bumping
+   it invalidates every fingerprint, result rows included; a checkpoint
+   layout change bumps Sb_sim.Snapshot.schema_version instead, which only
+   checkpoint keys fold in. *)
 let checkpoint_schema = "ckpt-1"
 
 (* bumped whenever the stored value shape changes; part of every fingerprint
@@ -80,11 +82,88 @@ let sweep_stale_tmp dir =
         | _ -> ())
       entries
 
+(* An entry is its key, marshalled, then its body.  A row's body is one
+   marshalled value.  A streamed body (checkpoints, under [ckpt_] keys) is
+   a run of records, each marshalled as [Some v], closed by one [None]
+   that must end the file: a reader holds one record at a time, and a
+   file cut between two records fails to decode like any other cut. *)
+let streamed key = String.starts_with ~prefix:"ckpt_" key
+
+let output_record oc v = Marshal.to_channel oc (Some v) []
+let output_end oc = Marshal.to_channel oc None []
+
+let input_record (type a) ic : a option =
+  match (Marshal.from_channel ic : a option) with
+  | Some _ as r -> r
+  | None -> (
+    match input_char ic with
+    | exception End_of_file -> None
+    | _ -> failwith "bytes after the end record")
+
+type damage = Unreadable of string | Undecodable of string | Stored_key of string
+
+let end_record = Marshal.to_string None []
+
+(* A streamed body, walked by its marshal headers alone: each record's
+   data must be in the file, and the last record must be the end record
+   with nothing after it.  Payloads are left to the loader to decode, so
+   checking an 8 MiB checkpoint allocates nothing per record. *)
+let check_records ic =
+  let hs = Marshal.header_size in
+  let len = in_channel_length ic in
+  let buf = Bytes.create (String.length end_record) in
+  let damaged fmt = Printf.ksprintf (fun s -> Error (Undecodable s)) fmt in
+  let rec go n =
+    let pos = pos_in ic in
+    if pos = len then damaged "cut after %d records, before the end record" n
+    else
+      match
+        really_input ic buf 0 hs;
+        Marshal.total_size buf 0
+      with
+      | exception End_of_file -> damaged "record %d is cut" (n + 1)
+      | exception Failure _ -> damaged "record %d has no marshal header" (n + 1)
+      | size when pos + size > len -> damaged "record %d is cut" (n + 1)
+      | size when size = Bytes.length buf ->
+        really_input ic buf hs (size - hs);
+        if not (Bytes.equal buf (Bytes.unsafe_of_string end_record)) then
+          go (n + 1)
+        else if pos + size = len then Ok ()
+        else damaged "bytes after the end record"
+      | size ->
+        seek_in ic (pos + size);
+        go (n + 1)
+  in
+  go 0
+
+(* The structural check of one entry, for the create-time sweep and fsck:
+   the stored key decodes and equals [key], and so does the body — one
+   value for a row, every record's framing through the end record for a
+   streamed entry. *)
+let check_entry ~file ~key =
+  match open_in_bin file with
+  | exception Sys_error e -> Error (Unreadable e)
+  | ic ->
+    let r =
+      match (Marshal.from_channel ic : string) with
+      | stored_key when not (String.equal stored_key key) ->
+        Error (Stored_key stored_key)
+      | _ when streamed key -> (
+        try check_records ic
+        with e -> Error (Undecodable (Printexc.to_string e)))
+      | _ -> (
+        match (Marshal.from_channel ic : Obj.t) with
+        | _ -> Ok ()
+        | exception _ -> Error (Undecodable "marshal segments do not decode"))
+      | exception _ -> Error (Undecodable "the key does not decode")
+    in
+    close_in_noerr ic;
+    r
+
 (* Checkpoint files are long-lived (one warm boot feeds a whole grid), so
-   a corrupt one is swept at create time rather than on first load: the
-   structural check below (both marshal segments decode and the stored key
-   matches the filename) catches truncation and bit rot up front, and the
-   snapshot's own memory digest still guards the restore path. *)
+   a corrupt one is swept at create time rather than on first load, by
+   [check_entry]; the snapshot's own memory digest still guards the
+   restore path. *)
 let sweep_corrupt_checkpoints dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -92,36 +171,21 @@ let sweep_corrupt_checkpoints dir =
     Array.iter
       (fun name ->
         if
-          String.length name > 8
-          && String.sub name 0 8 = "sb_ckpt_"
+          String.starts_with ~prefix:"sb_" name
           && Filename.check_suffix name ".cache"
         then begin
-          let file = Filename.concat dir name in
-          let expect_key =
+          let key =
             String.sub name 3 (String.length name - 3 - String.length ".cache")
           in
-          let ok =
-            match open_in_bin file with
-            | exception Sys_error _ -> true (* raced away; nothing to sweep *)
-            | ic ->
-              let r =
-                match
-                  let stored_key : string = Marshal.from_channel ic in
-                  let (_ : Obj.t) = Marshal.from_channel ic in
-                  stored_key
-                with
-                | stored_key -> String.equal stored_key expect_key
-                | exception _ -> false
-              in
-              close_in_noerr ic;
-              r
-          in
-          if not ok then begin
-            incr evicted;
-            Printf.eprintf
-              "[sb-jobs] cache: sweeping corrupt checkpoint %s\n%!" file;
-            try Sys.remove file with Sys_error _ -> ()
-          end
+          let file = Filename.concat dir name in
+          if streamed key then
+            match check_entry ~file ~key with
+            | Ok () | Error (Unreadable _) -> () (* raced away: nothing to sweep *)
+            | Error (Undecodable _ | Stored_key _) ->
+              incr evicted;
+              Printf.eprintf
+                "[sb-jobs] cache: sweeping corrupt checkpoint %s\n%!" file;
+              (try Sys.remove file with Sys_error _ -> ())
         end)
       entries
 
@@ -131,15 +195,14 @@ let create ~dir =
   sweep_corrupt_checkpoints dir;
   { dir }
 
-let load (type a) t ~key : a option =
+let load_channel t ~key read =
   match open_in_bin (path t key) with
   | exception Sys_error _ -> None (* plain miss: no such entry *)
   | ic ->
     let v =
       match
         let stored_key : string = Marshal.from_channel ic in
-        if String.equal stored_key key then `Hit (Marshal.from_channel ic : a)
-        else `Key_mismatch
+        if String.equal stored_key key then `Hit (read ic) else `Key_mismatch
       with
       | `Hit v -> Some v
       | `Key_mismatch ->
@@ -151,6 +214,9 @@ let load (type a) t ~key : a option =
     in
     close_in_noerr ic;
     v
+
+let load (type a) t ~key : a option =
+  load_channel t ~key (fun ic : a -> Marshal.from_channel ic)
 
 (* Durability is best-effort by nature: some filesystems (and the
    directory fsync on a few) refuse the call, and a cache entry is never
@@ -166,34 +232,35 @@ let fsync_dir dir =
     fsync_quietly fd;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let store t ~key v =
+let store_channel t ~key write =
   let file = path t key in
-  (* crash-consistent publish: marshal to a private temp file, fsync the
+  (* crash-consistent publish: write to a private temp file, fsync the
      data, rename into place, fsync the directory.  Concurrent writers
      (pool workers of separate bench invocations) can race on the same
      cell without corrupting it, and a crash at any point leaves either
      the old entry, the new entry, or a temp file [sweep_stale_tmp] /
      [fsck] reclaims — never a half-written entry under the real name *)
-  let payload = Marshal.to_string key [] ^ Marshal.to_string v [] in
   let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let oc = Unix.out_channel_of_descr fd in
+  set_binary_mode_out oc true;
   match
-    let len = String.length payload in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write_substring fd payload !off (len - !off)
-    done;
+    Marshal.to_channel oc key [];
+    write oc;
+    flush oc;
     fsync_quietly fd;
-    Unix.close fd
+    close_out oc
   with
   | () ->
     Sys.rename tmp file;
     fsync_dir t.dir
   | exception e ->
     (* ENOSPC, ...: leave no litter behind *)
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let store t ~key v = store_channel t ~key (fun oc -> Marshal.to_channel oc v [])
 
 let clear t =
   match Sys.readdir t.dir with

@@ -8,7 +8,7 @@
 
 type verdict =
   | Ok_entry
-  | Truncated  (* marshal segments do not decode: torn or bit-rotted *)
+  | Truncated  (* the key or body does not decode: torn, cut or bit-rotted *)
   | Key_mismatch  (* decodes, but the stored key disagrees with the name *)
   | Stale_tmp  (* temp file whose owning pid is gone *)
   | Live_tmp  (* temp file with a live owner: in-flight, not corruption *)
@@ -59,27 +59,13 @@ let tmp_pid name =
   | _ -> None
 
 let check_entry file expect_key =
-  match open_in_bin file with
-  | exception Sys_error e -> (Truncated, e)
-  | ic ->
-    let v =
-      match
-        let stored_key : string = Marshal.from_channel ic in
-        let (_ : Obj.t) = Marshal.from_channel ic in
-        stored_key
-      with
-      | stored_key ->
-        if String.equal stored_key expect_key then (Ok_entry, "")
-        else
-          ( Key_mismatch,
-            Printf.sprintf "stored key %s"
-              (if String.length stored_key > 24 then
-                 String.sub stored_key 0 24 ^ "..."
-               else stored_key) )
-      | exception _ -> (Truncated, "marshal segments do not decode")
-    in
-    close_in_noerr ic;
-    v
+  match Cache.check_entry ~file ~key:expect_key with
+  | Ok () -> (Ok_entry, "")
+  | Error (Cache.Unreadable e | Cache.Undecodable e) -> (Truncated, e)
+  | Error (Cache.Stored_key k) ->
+    ( Key_mismatch,
+      Printf.sprintf "stored key %s"
+        (if String.length k > 24 then String.sub k 0 24 ^ "..." else k) )
 
 let scan ?(repair = false) ~dir () =
   if not (Sys.file_exists dir && Sys.is_directory dir) then

@@ -2,8 +2,9 @@
     eviction.
 
     Walks a cache/checkpoint/baseline directory and classifies every
-    [sb_*] file: decodable entries whose stored key matches the file
-    name are [Ok_entry]; torn or bit-rotted files are [Truncated];
+    [sb_*] file with {!Cache.check_entry}: decodable entries whose stored
+    key matches the file name are [Ok_entry]; torn or bit-rotted files,
+    and checkpoints that stop before their end record, are [Truncated];
     decodable files under the wrong name are [Key_mismatch]; [*.tmp.*]
     files are [Stale_tmp] when their owning pid is gone and [Live_tmp]
     (in-flight, never corruption) when it is alive.  With [repair],

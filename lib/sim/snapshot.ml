@@ -12,7 +12,9 @@
    the digest, which is what turns a corrupt checkpoint file into a clean
    load error instead of a wrong simulation. *)
 
-let schema_version = 1
+(* 2: checkpoint files stream the snapshot as one record per page
+   (Simbench.Checkpoint); the type is unchanged *)
+let schema_version = 2
 let page_size = 4096
 
 type cpu_state = {

@@ -9,12 +9,13 @@
     snapshot ({!Machine.touch} invalidation makes that safe).
 
     The snapshot type is a plain immutable structure with no closures, so
-    [Marshal] round-trips it; {!Sb_jobs.Cache} stores it on disk as the
-    checkpoint format. *)
+    [Marshal] round-trips it; the checkpoint store writes it to disk as
+    marshal records, one per resident page. *)
 
 val schema_version : int
-(** Bump when the snapshot layout changes; folded into checkpoint cache
-    keys so stale checkpoint files miss instead of mis-restoring. *)
+(** Bump when the snapshot layout or the checkpoint file layout changes;
+    folded into checkpoint cache keys so stale checkpoint files miss
+    instead of mis-restoring. *)
 
 val page_size : int
 

@@ -407,6 +407,79 @@ let test_cache_rejects_corruption () =
 
 module Fsck = Sb_jobs.Fsck
 
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file contents =
+  Out_channel.with_open_bin file (fun oc -> output_string oc contents)
+
+(* A row entry is the marshalled key followed by the marshalled value,
+   byte for byte what earlier releases wrote, so their stores still hit. *)
+let test_row_layout_unchanged () =
+  let dir = tmp_dir "sb_jobs_layout" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cache = Cache.create ~dir in
+  let v = ([ 1; 2; 3 ], "row", 4.5) in
+  Cache.store cache ~key:"layout" v;
+  Alcotest.(check string) "key then value"
+    (Marshal.to_string "layout" [] ^ Marshal.to_string v [])
+    (read_file (Filename.concat dir "sb_layout.cache"));
+  (* and a file written that way loads *)
+  write_file
+    (Filename.concat dir "sb_older.cache")
+    (Marshal.to_string "older" [] ^ Marshal.to_string 17 []);
+  Alcotest.(check (option int)) "older entry hits" (Some 17)
+    (Cache.load cache ~key:"older")
+
+(* A streamed entry is whole only through its end record: the shared
+   check finds a file cut between two records, or with bytes after the
+   end, and so do the create-time sweep and fsck. *)
+let test_streamed_entry_checked () =
+  let dir = tmp_dir "sb_jobs_stream" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cache = Cache.create ~dir in
+  let key = "ckpt_stream" in
+  let file = Filename.concat dir ("sb_" ^ key ^ ".cache") in
+  Cache.store_channel cache ~key (fun oc ->
+      Cache.output_record oc "head";
+      List.iter (Cache.output_record oc) [ 1; 2; 3 ];
+      Cache.output_end oc);
+  let read ic =
+    let head : string = Option.get (Cache.input_record ic) in
+    let rec ints acc =
+      match (Cache.input_record ic : int option) with
+      | Some i -> ints (i :: acc)
+      | None -> List.rev acc
+    in
+    (head, ints [])
+  in
+  Alcotest.(check (option (pair string (list int)))) "records round trip"
+    (Some ("head", [ 1; 2; 3 ])) (Cache.load_channel cache ~key read);
+  let check () =
+    match Cache.check_entry ~file ~key with
+    | Ok () -> "ok"
+    | Error (Cache.Undecodable _) -> "undecodable"
+    | Error (Cache.Unreadable _) -> "unreadable"
+    | Error (Cache.Stored_key _) -> "stored-key"
+  in
+  Alcotest.(check string) "whole entry" "ok" (check ());
+  let whole = read_file file in
+  let end_len = String.length (Marshal.to_string None []) in
+  (* the checkpoint-smoke CI job cuts this many bytes off a checkpoint *)
+  Alcotest.(check int) "the end record is 21 bytes" 21 end_len;
+  let without_end = String.sub whole 0 (String.length whole - end_len) in
+  write_file file without_end;
+  Alcotest.(check string) "cut before the end record" "undecodable" (check ());
+  write_file file (whole ^ "x");
+  Alcotest.(check string) "bytes after the end record" "undecodable" (check ());
+  write_file file without_end;
+  (match Fsck.scan ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok r -> Alcotest.(check int) "fsck: truncated" 1 r.Fsck.truncated);
+  Cache.reset_evictions ();
+  ignore (Cache.create ~dir);
+  Alcotest.(check bool) "swept at create" false (Sys.file_exists file);
+  Alcotest.(check int) "sweep counted" 1 (Cache.evictions ())
+
 let fsck_counts r =
   (r.Fsck.ok, r.Fsck.truncated, r.Fsck.key_mismatch, r.Fsck.stale_tmp,
    r.Fsck.live_tmp)
@@ -782,6 +855,8 @@ let () =
         [
           Alcotest.test_case "hit without fork" `Quick test_cache_hit_without_fork;
           Alcotest.test_case "corruption is a miss" `Quick test_cache_rejects_corruption;
+          Alcotest.test_case "row layout unchanged" `Quick test_row_layout_unchanged;
+          Alcotest.test_case "streamed entry checked" `Quick test_streamed_entry_checked;
           Alcotest.test_case "fsck classifies damage" `Quick test_fsck_classifies_damage;
           Alcotest.test_case "fsck json report" `Quick test_fsck_json_report;
           Alcotest.test_case "fingerprint knobs" `Quick test_fingerprint_moves_with_knobs;

@@ -323,6 +323,64 @@ let tmp_dir () =
   Cache.mkdir_p d;
   d
 
+(* A checkpoint is written record by record through the channel: saving
+   mcf's 2,053 pages makes no image-sized string (a save that marshalled
+   the snapshot whole made two, about 2.1 M major-heap words). *)
+let test_save_streams_pages () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let support = Simbench.Engines.support arch in
+  let m = machine_for ~support ~bench:W.mcf.W.bench ~iters:2 in
+  let snap =
+    Checkpoint.run_to_point
+      ~setup_engine:(Simbench.Engines.interp arch)
+      ~point:Checkpoint.Kernel_phase m
+  in
+  let dir = tmp_dir () in
+  let store = Checkpoint.open_store ~dir in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  Checkpoint.save store ~key:"ckpt_mcf_save" snap;
+  let words = major_words () -. before in
+  Cache.clear (Checkpoint.cache store);
+  Sys.rmdir dir;
+  if words >= 65536. then
+    Alcotest.failf "a save of %d pages allocated %.0f major-heap words"
+      (List.length snap.Snapshot.s_pages) words
+
+(* A machine restored from a checkpoint file, read back through a fresh
+   store, is the machine it was saved from. *)
+let test_file_roundtrip_identity () =
+  let arch = Sb_isa.Arch_sig.Sba in
+  let support = Simbench.Engines.support arch in
+  List.iter
+    (fun bench ->
+      let name = bench.Simbench.Bench.name in
+      let m = machine_for ~support ~bench ~iters:2 in
+      let snap =
+        Checkpoint.run_to_point
+          ~setup_engine:(Simbench.Engines.interp arch)
+          ~point:Checkpoint.Kernel_phase m
+      in
+      let dir = tmp_dir () in
+      Checkpoint.save (Checkpoint.open_store ~dir) ~key:"ckpt_identity" snap;
+      let store = Checkpoint.open_store ~dir in
+      let loaded = Checkpoint.load store ~key:"ckpt_identity" in
+      Cache.clear (Checkpoint.cache store);
+      Sys.rmdir dir;
+      match loaded with
+      | None -> Alcotest.failf "%s: the checkpoint did not load" name
+      | Some loaded ->
+        let restored = machine_for ~support ~bench ~iters:2 in
+        Snapshot.restore loaded restored;
+        Alcotest.(check string)
+          (name ^ ": restored machine")
+          (Snapshot.digest (Snapshot.save m))
+          (Snapshot.digest (Snapshot.save restored)))
+    [ W.mcf.W.bench; Simbench.Suite.tlb_flush ]
+
 let small_snapshot () =
   let support = Simbench.Engines.support Sb_isa.Arch_sig.Sba in
   let m =
@@ -369,6 +427,24 @@ let checkpoint_file dir =
   | [ f ] -> Filename.concat dir f
   | l -> Alcotest.failf "expected one checkpoint file, found %d" (List.length l)
 
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file contents =
+  Out_channel.with_open_bin file (fun oc -> output_string oc contents)
+
+(* The offsets at which the marshal records of a checkpoint file end: the
+   key, the header, one per page, the end record. *)
+let record_ends contents =
+  let rec go ofs acc =
+    if ofs >= String.length contents then List.rev acc
+    else
+      let ofs =
+        ofs + Marshal.total_size (Bytes.unsafe_of_string contents) ofs
+      in
+      go ofs (ofs :: acc)
+  in
+  go 0 []
+
 let test_truncated_checkpoint_evicted () =
   let dir = tmp_dir () in
   let store = Checkpoint.open_store ~dir in
@@ -392,7 +468,125 @@ let test_truncated_checkpoint_evicted () =
   Alcotest.(check (option reject)) "truncated load misses" None
     (Option.map ignore (Checkpoint.load store2 ~key:"ckpt_truncation_test"));
   Alcotest.(check bool) "eviction counted" true (Cache.evictions () >= 1);
-  Alcotest.(check bool) "file removed" false (Sys.file_exists file)
+  Alcotest.(check bool) "file removed" false (Sys.file_exists file);
+  (* a cut exactly between two page records: every record left decodes,
+     and only the missing end record gives it away *)
+  Alcotest.(check bool) "at least two pages" true
+    (List.length snap.Snapshot.s_pages >= 2);
+  Checkpoint.save store ~key:"ckpt_truncation_test" snap;
+  let contents = read_file file in
+  let cut = List.nth (record_ends contents) 2 in
+  write_file file (String.sub contents 0 cut);
+  Cache.reset_evictions ();
+  let store3 = Checkpoint.open_store ~dir in
+  Alcotest.(check bool) "boundary cut swept at create" false
+    (Sys.file_exists file);
+  Alcotest.(check (option reject)) "boundary cut misses" None
+    (Option.map ignore (Checkpoint.load store3 ~key:"ckpt_truncation_test"));
+  Alcotest.(check int) "one eviction" 1 (Cache.evictions ())
+
+(* Adversarial checkpoint files: a small checkpoint (TLB Flush at its
+   kernel start) cut at every record boundary, then cut at random offsets
+   and with bytes of page payloads flipped (never marshal headers, which
+   [Marshal] does not defend against).  Every damaged file is a miss that
+   counts one eviction, every cut reads truncated in fsck, and nothing
+   raises. *)
+type damage = Cut of int | Flip of int * int  (* offset, xor mask *)
+
+let string_of_damage = function
+  | Cut n -> Printf.sprintf "cut at %d" n
+  | Flip (n, mask) -> Printf.sprintf "flip %02x at %d" mask n
+
+let adversarial_key = "ckpt_adversarial"
+
+let small_checkpoint =
+  lazy
+    (let dir = tmp_dir () in
+     let store = Checkpoint.open_store ~dir in
+     let support = Simbench.Engines.support Sb_isa.Arch_sig.Sba in
+     let m = machine_for ~support ~bench:Simbench.Suite.tlb_flush ~iters:10 in
+     let snap =
+       Checkpoint.run_to_point
+         ~setup_engine:(Simbench.Engines.interp Sb_isa.Arch_sig.Sba)
+         ~point:Checkpoint.Kernel_phase m
+     in
+     Checkpoint.save store ~key:adversarial_key snap;
+     let file = checkpoint_file dir in
+     let contents = read_file file in
+     Sys.remove file;
+     Sys.rmdir dir;
+     let ends = record_ends contents in
+     (* each page's bytes close its record: key, header, then the pages *)
+     let payloads =
+       List.mapi
+         (fun i (_, data) ->
+           let stop = List.nth ends (i + 2) in
+           let start = stop - String.length data in
+           if String.sub contents start (String.length data) <> data then
+             Alcotest.failf "page %d is not at the end of its record" i;
+           (start, stop))
+         snap.Snapshot.s_pages
+     in
+     (contents, ends, payloads))
+
+let damaged_checkpoint_rejected contents damage =
+  let bytes = Bytes.of_string contents in
+  let damaged =
+    match damage with
+    | Cut n -> Bytes.sub_string bytes 0 n
+    | Flip (n, mask) ->
+      Bytes.set bytes n (Char.chr (Char.code (Bytes.get bytes n) lxor mask));
+      Bytes.to_string bytes
+  in
+  let dir = tmp_dir () in
+  let file = Filename.concat dir ("sb_" ^ adversarial_key ^ ".cache") in
+  write_file file damaged;
+  let label = string_of_damage damage in
+  match
+    let fsck = Result.get_ok (Sb_jobs.Fsck.scan ~dir ()) in
+    Cache.reset_evictions ();
+    let store = Checkpoint.open_store ~dir in
+    let loaded = Checkpoint.load store ~key:adversarial_key in
+    (fsck, loaded, Cache.evictions ())
+  with
+  | exception e -> Alcotest.failf "%s: %s escaped" label (Printexc.to_string e)
+  | fsck, loaded, evictions ->
+    if loaded <> None then
+      Alcotest.failf "%s: the damaged checkpoint loaded" label;
+    if evictions <> 1 then
+      Alcotest.failf "%s: %d evictions, expected 1" label evictions;
+    if Sys.file_exists file then Alcotest.failf "%s: file kept" label;
+    (match damage with
+    | Cut _ when fsck.Sb_jobs.Fsck.truncated <> 1 ->
+      Alcotest.failf "%s: fsck reads %d truncated" label
+        fsck.Sb_jobs.Fsck.truncated
+    | _ -> ());
+    Sys.rmdir dir;
+    true
+
+let test_adversarial_checkpoints () =
+  let contents, ends, payloads = Lazy.force small_checkpoint in
+  let len = String.length contents in
+  Alcotest.(check bool) "a small checkpoint" true (len < 64 * 1024);
+  (* every record boundary short of the whole file, and the empty file *)
+  List.iter
+    (fun n -> ignore (damaged_checkpoint_rejected contents (Cut n)))
+    (0 :: List.filter (fun n -> n < len) ends);
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun n -> Cut n) (int_bound (len - 1));
+          ( int_bound (List.length payloads - 1) >>= fun page ->
+            let start, stop = List.nth payloads page in
+            map2 (fun n mask -> Flip (n, mask)) (int_range start (stop - 1))
+              (int_range 1 255) );
+        ])
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 26 |])
+    (QCheck.Test.make ~count:200 ~name:"damaged checkpoints are misses"
+       (QCheck.make ~print:string_of_damage gen)
+       (damaged_checkpoint_rejected contents))
 
 let test_create_sweeps_corrupt_checkpoints () =
   let dir = tmp_dir () in
@@ -578,8 +772,14 @@ let () =
             test_tampered_snapshot_rejected;
           Alcotest.test_case "truncated checkpoint evicted" `Quick
             test_truncated_checkpoint_evicted;
+          Alcotest.test_case "save streams pages, no image copy" `Quick
+            test_save_streams_pages;
+          Alcotest.test_case "file round trip restores the same machine"
+            `Quick test_file_roundtrip_identity;
           Alcotest.test_case "create sweeps corrupt checkpoints" `Quick
             test_create_sweeps_corrupt_checkpoints;
+          Alcotest.test_case "adversarial checkpoint files" `Quick
+            test_adversarial_checkpoints;
           Alcotest.test_case "one warm boot shared across engines" `Slow
             test_store_roundtrip_and_sharing;
           Alcotest.test_case "switch-point parsing" `Quick test_parse_point;
