@@ -7,7 +7,10 @@
 # or caml_ba_set_*: ocamlopt emits that C call for a Bigarray access
 # whose kind or layout is not known at the call site, which would add a
 # call to every guest-RAM access and every virt or native translation
-# without failing a test.  Run from the repository root:
+# without failing a test.  Last, check that the DBT's archive calls no
+# Array.blit (camlStdlib__Array.blit or caml_array_blit): its modelled
+# exception-entry copies use Sb_sim.Guest.copy_words, whose cost does not
+# move with GC state.  Run from the repository root:
 #   sh ci/check-build-flags.sh
 set -u
 spec='@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
@@ -45,9 +48,15 @@ if command -v objdump >/dev/null 2>&1; then
       status=1
     fi
   done
-  [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors, Bigarray accesses inline"
+  blits=$(objdump -dr _build/default/lib/dbt/sb_dbt.a \
+    | grep -o 'camlStdlib__Array\.blit[A-Za-z0-9_]*\|caml_array_blit' | sort -u | tr '\n' ' ')
+  if [ -n "$blits" ]; then
+    echo "check-build-flags: lib/dbt/sb_dbt.a calls $blits(copy with Sb_sim.Guest.copy_words)" >&2
+    status=1
+  fi
+  [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors, Bigarray accesses inline, no Array.blit in the DBT"
 else
   [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors"
-  echo "check-build-flags: skipped the Bigarray access check: no objdump on this host"
+  echo "check-build-flags: skipped the Bigarray access and Array.blit checks: no objdump on this host"
 fi
 exit "$status"

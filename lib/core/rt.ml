@@ -15,6 +15,60 @@ let dev_store ~base ~off value =
 (* Write one host-computed page-table word; clobbers v0 and v3. *)
 let poke ~addr value = [ Li (v0, addr); Li (v3, value); Store (W32, v3, v0, 0) ]
 
+(* The L2 entry of the cold region's first page; entry i maps scratch page
+   (i mod scratch_pages), that is this value plus (i mod scratch_pages)
+   pages. *)
+let first_cold_entry (p : Platform.t) =
+  Sb_mmu.Pte.encode_page ~pa_base:p.Platform.scratch_base
+    ~ap:Sb_mmu.Access.Ap.kernel_only ~xn:true
+
+(* The boot stub, entered at reset as [_start]: it writes the cold region's
+   L2 entries and jumps to [rt_main], the inline boot.  The region holds
+   scratch_pages distinct entries, each in every scratch_pages-th slot, so
+   one pass per value does one store per slot holding it, at offsets
+   k * scratch_pages * 4 from its first slot, and five instructions to
+   move to the next value: about one instruction per slot, where a loop
+   over the slots takes nine.  The stub sits on a page of its own after
+   the vectors.  Kernel counters depend on code addresses, so new boot
+   work goes here and the inline boot keeps its bytes; and a page the stub
+   shared with code a kernel rewrites would be marked as code during
+   setup, costing that kernel an extra SMC invalidation.  Offsets stay
+   within SBA's signed 14-bit field (VLX's has 16 bits): on a platform
+   whose stride would pass it, each further group of slots is stored
+   through v3, set past v0 by the group's span. *)
+let boot_stub (p : Platform.t) =
+  let values = p.Platform.scratch_pages in
+  let pages = p.Platform.cold_region_pages in
+  if pages mod values <> 0 then
+    invalid_arg "Rt: cold_region_pages is not a multiple of scratch_pages";
+  let stride = values * 4 in
+  let group = (8191 / stride) + 1 in
+  let store k =
+    let g = k / group and offset = k mod group * stride in
+    if g = 0 then [ Store (W32, v1, v0, offset) ]
+    else
+      (if offset = 0 then [ Alu (Sb_isa.Uop.Add, v3, v0, I (g * group * stride)) ]
+       else [])
+      @ [ Store (W32, v1, v3, offset) ]
+  in
+  [
+    Align page_size;
+    L "_start";
+    Li (v0, p.Platform.l2_table_base);
+    Li (v1, first_cold_entry p);
+    Li (v2, values);
+    L "rt_stub_fill";
+  ]
+  @ List.concat (List.init (pages / values) store)
+  @ [
+      Alu (Sb_isa.Uop.Add, v0, v0, I 4);
+      Alu (Sb_isa.Uop.Add, v1, v1, I page_size);
+      Alu (Sb_isa.Uop.Sub, v2, v2, I 1);
+      Cmp (v2, I 0);
+      Br (Sb_isa.Uop.Ne, "rt_stub_fill");
+      Jmp "rt_main";
+    ]
+
 let build_page_tables (p : Platform.t) =
   let l1 = p.Platform.page_table_base in
   let l1_slot va = l1 + (Sb_mmu.Pte.l1_index va * 4) in
@@ -35,8 +89,8 @@ let build_page_tables (p : Platform.t) =
       (Sb_mmu.Pte.encode_section ~pa_base:p.Platform.device_section_va
          ~ap:Sb_mmu.Access.Ap.kernel_only ~xn:true)
   in
-  (* the cold region: page-mapped VA span aliasing the scratch pages, built
-     by a guest loop over the L2 tables *)
+  (* the cold region: page-mapped VA span aliasing the scratch pages; the
+     boot stub has already written its L2 entries *)
   let l2 = p.Platform.l2_table_base in
   let pages = p.Platform.cold_region_pages in
   let l2_tables = (pages + 1023) / 1024 in
@@ -47,17 +101,16 @@ let build_page_tables (p : Platform.t) =
              ~addr:(l1_slot (p.Platform.cold_region_va + (i * section_size)))
              (Sb_mmu.Pte.encode_table ~l2_base:(l2 + (i * page_size)))))
   in
-  let first_pa = p.Platform.scratch_base in
-  let first_entry =
-    Sb_mmu.Pte.encode_page ~pa_base:first_pa ~ap:Sb_mmu.Access.Ap.kernel_only ~xn:true
-  in
   let wrap = p.Platform.scratch_pages in
   let cold_fill =
-    (* v0 slot pointer, v1 entry value, v2 remaining, v3 wrap counter *)
+    (* v0 slot pointer, v1 entry value, v2 remaining, v3 wrap counter.
+       The boot stub has written every slot, so one pass rewrites slot 0
+       with the value already there.  The loop stays, byte for byte, so
+       that everything after it keeps its address. *)
     [
       Li (v0, l2);
-      Li (v1, first_entry);
-      Li (v2, pages);
+      Li (v1, first_cold_entry p);
+      Li (v2, 1);
       Li (v3, wrap);
       L "rt_cold_fill";
       Store (W32, v1, v0, 0);
@@ -153,7 +206,7 @@ let ops ~support ~platform ~bench =
           [ L (vector_slot_label vector); Jmp (handler_label vector); Align 8 ])
         vector_order
   in
-  [ L "_start" ]
+  [ L "rt_main" ]
     (* vectors first so that faults during setup already report cleanly *)
     @ [ La (v0, "rt_vectors"); Cop_write (Sb_isa.Cregs.vbar, v0) ]
     @ [ Li (sp, p.Platform.stack_top) ]
@@ -182,6 +235,7 @@ let ops ~support ~platform ~bench =
   @ body.Bench.functions
   @ handlers
   @ vectors
+  @ boot_stub p
 
 let program ~support ~platform ~bench =
   let (module S : Support.SUPPORT) = support in

@@ -7,7 +7,13 @@
     iteration-count fetch from the bench device, and the three-phase
     structure with phase signalling.  Mirrors the paper's architecture
     support package responsibilities: "bringing the machine out of reset,
-    managing the MMU and caches". *)
+    managing the MMU and caches".
+
+    Reset enters [_start], a boot stub on the image's last page, alone on
+    it: it writes the large region's L2 entries and jumps to [rt_main] at
+    the image base, the inline boot.  The inline boot's bytes are frozen,
+    since kernel counters depend on code addresses; new boot work goes
+    into the stub. *)
 
 val program :
   support:Support.t -> platform:Platform.t -> bench:Bench.t -> Sb_asm.Program.t
@@ -23,9 +29,6 @@ val vector_slot_labels : string list
 (** Labels on the exception-vector slots.  Slots are entered by hardware
     vectoring rather than by any static branch, so analyses must treat these
     as extra control-flow roots. *)
-
-val build_page_tables : Platform.t -> Pasm.op list
-(** The guest code that constructs the page tables (exposed for tests). *)
 
 val enable_irqs : Pasm.op list
 (** ERET trampoline that switches CPU IRQs on while staying in kernel

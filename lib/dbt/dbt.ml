@@ -162,6 +162,8 @@ struct
   }
 
   let make_ctx ?prev:_ (g : Guest.t) =
+    if cfg.Config.exception_sync_work > 0 then
+      Guest.check_register_file ~who:"Dbt" g.cpu;
     {
       g;
       cpu = g.cpu;
@@ -191,8 +193,8 @@ struct
 
   let sync_state ctx =
     for _ = 1 to cfg.Config.exception_sync_work do
-      Array.blit ctx.cpu.Cpu.regs 0 ctx.shadow_regs 0 16;
-      Array.blit ctx.cpu.Cpu.cop 0 ctx.shadow_cop 0 Cregs.count;
+      Guest.copy_words ctx.cpu.Cpu.regs ctx.shadow_regs 16;
+      Guest.copy_words ctx.cpu.Cpu.cop ctx.shadow_cop Cregs.count;
       ctx.sync_token <- (ctx.sync_token + ctx.shadow_regs.(0) + ctx.shadow_cop.(0)) land max_int
     done
 

@@ -147,11 +147,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
      predecode arrays become spares. *)
   let make_ctx ?prev (g : Guest.t) =
     let cpu = g.cpu in
-    (* the world switch copies these with unchecked loops *)
-    if
-      vm_exit_rounds > 0
-      && (Array.length cpu.Cpu.regs <> 16 || Array.length cpu.Cpu.cop <> Cregs.count)
-    then invalid_arg "Core: CPU register file is not 16 + Cregs.count words";
+    if vm_exit_rounds > 0 then Guest.check_register_file ~who:"Core" cpu;
     Option.iter
       (fun prev ->
         Hashtbl.iter (fun _ arr -> Stack.push arr spare_pages) prev.decode_cache)
@@ -210,29 +206,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
 
   (* ------------- traps -------------------------------------------------- *)
 
-  (* The world switch copies with typed [int array] loops, not
-     [Array.blit]: [caml_array_blit] uses memmove only for a young
-     destination and calls [caml_modify] per element once a minor GC has
-     promoted the arrays, so the modelled exit cost would change several
-     times over with GC phase.  Typed stores cost the same in any GC
-     state.  The loop must stay unchecked (bounds checks at least double
-     its cost) and is unrolled four ways, since a branch and a safepoint
-     poll per word would cost more than the young memmove did.
-     [make_ctx] checks the lengths it relies on. *)
-  let copy_words (src : int array) (dst : int array) n =
-    let i = ref 0 in
-    while !i + 4 <= n do
-      let j = !i in
-      Array.unsafe_set dst j (Array.unsafe_get src j);
-      Array.unsafe_set dst (j + 1) (Array.unsafe_get src (j + 1));
-      Array.unsafe_set dst (j + 2) (Array.unsafe_get src (j + 2));
-      Array.unsafe_set dst (j + 3) (Array.unsafe_get src (j + 3));
-      i := j + 4
-    done;
-    for j = !i to n - 1 do
-      Array.unsafe_set dst j (Array.unsafe_get src j)
-    done
-
   (* A trap to the hypervisor, on the engines that model one: [reason] 1 is
      a device read, 2 a device write, 3 an undefined instruction or
      coprocessor access, 4 WFI and 5 IRQ injection. *)
@@ -241,16 +214,16 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     let cpu = ctx.cpu in
     for round = 1 to vm_exit_rounds do
       (* world switch out: save vCPU state *)
-      copy_words cpu.Cpu.regs ctx.shadow_regs 16;
-      copy_words cpu.Cpu.cop ctx.shadow_cop Cregs.count;
+      Guest.copy_words cpu.Cpu.regs ctx.shadow_regs 16;
+      Guest.copy_words cpu.Cpu.cop ctx.shadow_cop Cregs.count;
       (* emulation-layer dispatch *)
       ctx.exit_token <-
         (ctx.exit_token + ctx.shadow_regs.((reason + round) land 15)
         + ctx.shadow_cop.((reason + round) mod Cregs.count))
         land max_int;
       (* world switch in: restore *)
-      copy_words ctx.shadow_regs cpu.Cpu.regs 16;
-      copy_words ctx.shadow_cop cpu.Cpu.cop Cregs.count
+      Guest.copy_words ctx.shadow_regs cpu.Cpu.regs 16;
+      Guest.copy_words ctx.shadow_cop cpu.Cpu.cop Cregs.count
     done
 
   (* inlined, so the engines that take no exits make no call *)

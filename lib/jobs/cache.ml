@@ -232,35 +232,61 @@ let fsync_dir dir =
     fsync_quietly fd;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let store_channel t ~key write =
+(* The one publish path, crash-consistent: [write fd] fills a private temp
+   file, whose data is fsynced before a rename puts it in place, then the
+   directory is fsynced.  Concurrent writers (pool workers of separate
+   bench invocations) can race on the same cell without corrupting it,
+   and a crash at any point leaves either the old entry, the new entry,
+   or a temp file [sweep_stale_tmp] / [fsck] reclaims — never a
+   half-written entry under the real name. *)
+let publish t ~key write =
   let file = path t key in
-  (* crash-consistent publish: write to a private temp file, fsync the
-     data, rename into place, fsync the directory.  Concurrent writers
-     (pool workers of separate bench invocations) can race on the same
-     cell without corrupting it, and a crash at any point leaves either
-     the old entry, the new entry, or a temp file [sweep_stale_tmp] /
-     [fsck] reclaims — never a half-written entry under the real name *)
   let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let oc = Unix.out_channel_of_descr fd in
-  set_binary_mode_out oc true;
   match
-    Marshal.to_channel oc key [];
-    write oc;
-    flush oc;
-    fsync_quietly fd;
-    close_out oc
+    write fd;
+    fsync_quietly fd
   with
   | () ->
+    Unix.close fd;
     Sys.rename tmp file;
     fsync_dir t.dir
   | exception e ->
     (* ENOSPC, ...: leave no litter behind *)
-    close_out_noerr oc;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
-let store t ~key v = store_channel t ~key (fun oc -> Marshal.to_channel oc v [])
+let write_string fd s =
+  let len = String.length s in
+  let off = ref 0 in
+  while !off < len do
+    off := !off + Unix.write_substring fd s !off (len - !off)
+  done
+
+(* A stream goes through one channel on the temp file.  The channel has a
+   descriptor of its own and is closed on either path, so it never holds
+   data a later [flush_all] could write. *)
+let store_channel t ~key write =
+  publish t ~key (fun fd ->
+      let oc = Unix.out_channel_of_descr (Unix.dup fd) in
+      set_binary_mode_out oc true;
+      match
+        Marshal.to_channel oc key [];
+        write oc;
+        close_out oc
+      with
+      | () -> ()
+      | exception e ->
+        close_out_noerr oc;
+        raise e)
+
+(* A row is one record, written with [Unix.write]: no channel, whose 64 KiB
+   buffer would stay allocated until the GC finalises it. *)
+let store t ~key v =
+  publish t ~key (fun fd ->
+      write_string fd (Marshal.to_string key []);
+      write_string fd (Marshal.to_string v []))
 
 let clear t =
   match Sys.readdir t.dir with

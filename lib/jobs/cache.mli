@@ -57,11 +57,12 @@ val store : t -> key:string -> 'a -> unit
     name.  (fsync is best-effort: filesystems that refuse it are
     tolerated.)  If the write itself fails the temp file is removed
     before the exception propagates.  The file is the marshalled key
-    followed by the marshalled value. *)
+    followed by the marshalled value, written without a channel. *)
 
 (** {2 Entries written and read through a channel}
 
-    {!store} and {!load} are the one-record case of these.  A streamed
+    {!store} and {!load} read and write the one-record case of these
+    layouts, and every entry is published the same way.  A streamed
     entry, the layout of every [ckpt_] key, puts a run of
     {!output_record}s after the key and closes it with {!output_end}, so
     neither side ever holds the whole body as one string. *)

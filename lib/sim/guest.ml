@@ -135,6 +135,36 @@ let[@inline] write_phys g ~iaddr ~retired ~va width pa v =
     false
   end
 
+(* ------------- modelled register-file copies ----------------------------- *)
+
+(* The core's world switch and the DBT's state sync copy the register file
+   with typed [int array] loops, not [Array.blit]: [caml_array_blit] uses
+   memmove only for a young destination and calls [caml_modify] per
+   element once a minor GC has promoted the arrays, so the modelled cost
+   would change several times over with GC phase.  Typed stores cost the
+   same in any GC state.  The loop must stay unchecked (bounds checks at
+   least double its cost) and is unrolled four ways, since a branch and a
+   safepoint poll per word would cost more than the young memmove did. *)
+let copy_words (src : int array) (dst : int array) n =
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let j = !i in
+    Array.unsafe_set dst j (Array.unsafe_get src j);
+    Array.unsafe_set dst (j + 1) (Array.unsafe_get src (j + 1));
+    Array.unsafe_set dst (j + 2) (Array.unsafe_get src (j + 2));
+    Array.unsafe_set dst (j + 3) (Array.unsafe_get src (j + 3));
+    i := j + 4
+  done;
+  for j = !i to n - 1 do
+    Array.unsafe_set dst j (Array.unsafe_get src j)
+  done
+
+let check_register_file ~who (cpu : Cpu.t) =
+  if
+    Array.length cpu.Cpu.regs <> 16
+    || Array.length cpu.Cpu.cop <> Sb_isa.Cregs.count
+  then invalid_arg (who ^ ": CPU register file is not 16 + Cregs.count words")
+
 (* ------------- exceptions ------------------------------------------------ *)
 
 let deliver g vector ~cause ~far ~return_addr =

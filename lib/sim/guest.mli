@@ -106,6 +106,19 @@ val write_phys :
     the engine then invalidates what it derived from the page and calls
     {!code_invalidated}. *)
 
+(** {1 Modelled register-file copies} *)
+
+val copy_words : int array -> int array -> int -> unit
+(** [copy_words src dst n] copies the first [n] words of [src] to [dst]
+    with unchecked typed stores, whose cost does not depend on GC state as
+    [Array.blit]'s does.  [n] must not exceed either length: callers check
+    the register file once with {!check_register_file}. *)
+
+val check_register_file : who:string -> Cpu.t -> unit
+(** Raise [Invalid_argument] unless the CPU has 16 registers and
+    [Sb_isa.Cregs.count] coprocessor registers, the lengths the modelled
+    copies rely on. *)
+
 (** {1 Exceptions} *)
 
 val deliver :

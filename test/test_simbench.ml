@@ -220,6 +220,165 @@ let test_page_table_runtime () =
   | Error Sb_mmu.Access.Translation -> ()
   | _ -> Alcotest.fail "fault va must be unmapped"
 
+(* ---- boot: the stub at _start writes the cold region's L2 entries and
+   jumps to the inline boot at rt_main ---- *)
+
+let arches = [ Sb_isa.Arch_sig.Sba; Sb_isa.Arch_sig.Vlx ]
+
+let case_name arch (p : Simbench.Platform.t) =
+  Printf.sprintf "%s on %s" (Sb_isa.Arch_sig.arch_id_name arch)
+    p.Simbench.Platform.name
+
+let boot_program arch platform bench =
+  Simbench.Rt.program ~support:(Simbench.Engines.support arch) ~platform ~bench
+
+(* Run System Call's image on [arch]'s interpreter from [pc] (default: the
+   entry) to its kernel-phase write; the machine and the instructions
+   retired on the way. *)
+let boot_to_kernel ?pc arch platform =
+  let program = boot_program arch platform Simbench.Suite.system_call in
+  let machine = Simbench.Platform.machine platform () in
+  Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev 10;
+  Sb_sim.Machine.load_program machine program;
+  Option.iter
+    (fun label ->
+      machine.Sb_sim.Machine.cpu.Sb_sim.Cpu.pc <-
+        Sb_asm.Program.symbol program label)
+    pc;
+  let snap =
+    Simbench.Checkpoint.run_to_point
+      ~setup_engine:(Simbench.Engines.interp arch)
+      ~point:Simbench.Checkpoint.Kernel_phase machine
+  in
+  (machine, Sb_sim.Snapshot.insns snap)
+
+(* The L1 table and every cold-region L2 entry at the kernel-phase write,
+   against values computed from the platform; the mismatching slots. *)
+let boot_table_mismatches machine (p : Simbench.Platform.t) =
+  let module P = Simbench.Platform in
+  let module Pte = Sb_mmu.Pte in
+  let read32 = Sb_mem.Phys_mem.read32 (Sb_mem.Bus.ram machine.Sb_sim.Machine.bus) in
+  let kernel = Sb_mmu.Access.Ap.kernel_only in
+  let section = 1 lsl Pte.section_shift in
+  let l2 = p.P.l2_table_base in
+  let l2_tables = (p.P.cold_region_pages + 1023) / 1024 in
+  let l1 = Array.make 1024 Pte.invalid in
+  let set va v = l1.(Pte.l1_index va) <- v in
+  for i = 0 to ((p.P.ram_size + section - 1) / section) - 1 do
+    set (i * section) (Pte.encode_section ~pa_base:(i * section) ~ap:kernel ~xn:false)
+  done;
+  set p.P.device_section_va
+    (Pte.encode_section ~pa_base:p.P.device_section_va ~ap:kernel ~xn:true);
+  for i = 0 to l2_tables - 1 do
+    set (p.P.cold_region_va + (i * section)) (Pte.encode_table ~l2_base:(l2 + (i * 4096)))
+  done;
+  set p.P.user_page_va (Pte.encode_table ~l2_base:(l2 + (l2_tables * 4096)));
+  let bad = ref [] in
+  let check what addr want =
+    let got = read32 addr in
+    if got <> want then
+      bad := Printf.sprintf "%s at 0x%x: 0x%x, want 0x%x" what addr got want :: !bad
+  in
+  Array.iteri (fun i want -> check "L1" (p.P.page_table_base + (4 * i)) want) l1;
+  for i = 0 to p.P.cold_region_pages - 1 do
+    check "cold L2" (l2 + (4 * i))
+      (Pte.encode_page
+         ~pa_base:(p.P.scratch_base + (i mod p.P.scratch_pages * 4096))
+         ~ap:kernel ~xn:true)
+  done;
+  List.rev !bad
+
+(* examples/port_new_platform.ml's board: a 512-byte stride puts the
+   stub's later stores past SBA's 14-bit offset field *)
+let sbp_big =
+  {
+    Simbench.Platform.sbp_ref with
+    Simbench.Platform.name = "sbp-big";
+    ram_size = 64 * 1024 * 1024;
+    cold_region_pages = 4096;
+    scratch_pages = 128;
+    scratch_base = 0x0200_0000;
+    heap_base = 0x0280_0000;
+  }
+
+let test_boot_tables () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun p ->
+          let machine, _ = boot_to_kernel arch p in
+          Alcotest.(check (list string)) (case_name arch p) []
+            (boot_table_mismatches machine p))
+        (Simbench.Platform.all @ [ sbp_big ]))
+    arches
+
+let test_boot_cost () =
+  List.iter
+    (fun arch ->
+      let p = Simbench.Platform.sbp_ref in
+      let _, insns = boot_to_kernel arch p in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d setup instructions < 3000" (case_name arch p) insns)
+        true (insns < 3000))
+    arches
+
+(* The stub is the image's last code, alone on a page: a page it shared
+   with code that a kernel rewrites would be marked as code during setup. *)
+let test_boot_stub_page () =
+  let benches =
+    Simbench.Suite.all @ Simbench.Suite_ext.all
+    @ List.map (fun w -> w.Sb_workloads.Workloads.bench) Sb_workloads.Workloads.all
+  in
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun bench ->
+          let program = boot_program arch Simbench.Platform.sbp_ref bench in
+          let stub = Sb_asm.Program.symbol program "_start" in
+          let image_end =
+            program.Sb_asm.Program.base + Bytes.length program.Sb_asm.Program.image
+          in
+          let what = Printf.sprintf "%s on %s" bench.Simbench.Bench.name
+              (Sb_isa.Arch_sig.arch_id_name arch) in
+          Alcotest.(check int) (what ^ ": entry") stub program.Sb_asm.Program.entry;
+          Alcotest.(check int) (what ^ ": page aligned") 0 (stub land 4095);
+          Alcotest.(check bool) (what ^ ": after the inline boot") true
+            (stub > Sb_asm.Program.symbol program "rt_main");
+          Alcotest.(check bool) (what ^ ": ends the image within its page") true
+            (image_end > stub && image_end <= stub + 4096);
+          List.iter
+            (fun (label, addr) ->
+              if addr >= stub && label <> "_start" && label <> "rt_stub_fill"
+              then Alcotest.failf "%s: label %s at 0x%x on the stub's page" what label addr)
+            program.Sb_asm.Program.symbols)
+        benches)
+    arches
+
+(* Reset vectors to the stub: two jumps from the Reset slot land on it,
+   past the inline boot, and a boot from there retires exactly those two
+   jumps more than one from the entry. *)
+let test_reset_reenters_stub () =
+  List.iter
+    (fun arch ->
+      let p = Simbench.Platform.sbp_ref in
+      let program = boot_program arch p Simbench.Suite.system_call in
+      let machine = Simbench.Platform.machine p () in
+      Sb_sim.Machine.load_program machine program;
+      let cpu = machine.Sb_sim.Machine.cpu in
+      cpu.Sb_sim.Cpu.pc <- Sb_asm.Program.symbol program "rt_vec_reset";
+      ignore
+        (Sb_sim.Engine.run (Simbench.Engines.interp arch) ~max_insns:2 machine);
+      Alcotest.(check int) (case_name arch p ^ ": lands on _start")
+        (Sb_asm.Program.symbol program "_start") cpu.Sb_sim.Cpu.pc;
+      Alcotest.(check bool) (case_name arch p ^ ": past the inline boot") true
+        (cpu.Sb_sim.Cpu.pc > program.Sb_asm.Program.base);
+      let _, cold = boot_to_kernel arch p in
+      let machine, from_reset = boot_to_kernel ~pc:"rt_vec_reset" arch p in
+      Alcotest.(check int) (case_name arch p ^ ": insns") (cold + 2) from_reset;
+      Alcotest.(check (list string)) (case_name arch p ^ ": tables") []
+        (boot_table_mismatches machine p))
+    arches
+
 let test_sbp_mini_platform () =
   (* the whole suite must run unmodified on the constrained board *)
   let arch = Sb_isa.Arch_sig.Sba in
@@ -611,6 +770,13 @@ let () =
         ] );
       ( "runtime",
         [ Alcotest.test_case "guest-built page tables" `Quick test_page_table_runtime ] );
+      ( "boot",
+        [
+          Alcotest.test_case "tables at the kernel-phase write" `Quick test_boot_tables;
+          Alcotest.test_case "setup under 3000 instructions" `Quick test_boot_cost;
+          Alcotest.test_case "stub alone on the last page" `Quick test_boot_stub_page;
+          Alcotest.test_case "reset re-enters the stub" `Quick test_reset_reenters_stub;
+        ] );
       ( "extensions",
         [
           Alcotest.test_case "all engines" `Quick test_extensions;

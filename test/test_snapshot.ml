@@ -324,7 +324,7 @@ let tmp_dir () =
   d
 
 (* A checkpoint is written record by record through the channel: saving
-   mcf's 2,053 pages makes no image-sized string (a save that marshalled
+   mcf's 2,054 pages makes no image-sized string (a save that marshalled
    the snapshot whole made two, about 2.1 M major-heap words). *)
 let test_save_streams_pages () =
   let arch = Sb_isa.Arch_sig.Sba in
