@@ -10,7 +10,11 @@
 # without failing a test.  Last, check that the DBT's archive calls no
 # Array.blit (camlStdlib__Array.blit or caml_array_blit): its modelled
 # exception-entry copies use Sb_sim.Guest.copy_words, whose cost does not
-# move with GC state.  Run from the repository root:
+# move with GC state.  Then check that the interpreter's archive makes no
+# call to Sb_interp.Core's predecode_slot, the two-load lookup of a
+# predecoded instruction that every interp, virt and native fetch makes:
+# a call there would slow each fetch without failing a test.  Run from
+# the repository root:
 #   sh ci/check-build-flags.sh
 set -u
 spec='@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
@@ -54,9 +58,17 @@ if command -v objdump >/dev/null 2>&1; then
     echo "check-build-flags: lib/dbt/sb_dbt.a calls $blits(copy with Sb_sim.Guest.copy_words)" >&2
     status=1
   fi
-  [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors, Bigarray accesses inline, no Array.blit in the DBT"
+  # the lookup's own definition is a label, not a relocation: only a use
+  # of its symbol from code is a call or a jump to it
+  slot_uses=$(objdump -dr _build/default/lib/interp/sb_interp.a \
+    | grep -c 'R_[A-Z0-9_]*[[:space:]][[:space:]]*camlSb_interp__Core[._][_]*predecode_slot')
+  if [ "$slot_uses" -ne 0 ]; then
+    echo "check-build-flags: lib/interp/sb_interp.a calls Core.predecode_slot $slot_uses times (the predecode lookup is not inlined)" >&2
+    status=1
+  fi
+  [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors, Bigarray accesses inline, no Array.blit in the DBT, the predecode lookup inline"
 else
   [ "$status" -eq 0 ] && echo "check-build-flags: no -opaque, warnings are errors"
-  echo "check-build-flags: skipped the Bigarray access and Array.blit checks: no objdump on this host"
+  echo "check-build-flags: skipped the Bigarray access, Array.blit and predecode lookup checks: no objdump on this host"
 fi
 exit "$status"

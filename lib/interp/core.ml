@@ -16,8 +16,36 @@ let page_shift = Guest.page_shift
 let page_size = Guest.page_size
 let page_mask = Guest.page_mask
 
+(* Interp, virt and native predecode by physical page, one slot per byte
+   offset.  A page's slots are [chunks_per_page] chunks of [chunk_slots]
+   (64 bytes of code each): a chunk is allocated by the first decode into
+   it, and every chunk not yet filled is [empty_chunk], shared and never
+   written, so a page costs host memory only where its code lies. *)
+let chunk_bits = 6
+let chunk_slots = 1 lsl chunk_bits
+let chunk_mask = chunk_slots - 1
+let chunks_per_page = page_size lsr chunk_bits
+
+(* An empty slot holds [no_insn], whose address no fetch has, rather than
+   an option: a lookup then loads the decoded instruction itself, so the
+   chunk costs no more dependent loads than a flat array of options. *)
+let no_insn : Uop.decoded = { addr = -1; length = 0; uops = []; terminates_block = false }
+
+type predecode_page = Uop.decoded array array
+
+let empty_chunk : Uop.decoded array = Array.make chunk_slots no_insn
+
+(* the page no fetch has reached: every slot is empty *)
+let no_page : predecode_page = Array.make chunks_per_page empty_chunk
+
+(* A page's slot at byte [offset] (below [page_size]): two unchecked
+   loads.  It must stay inline on every fetch; ci/check-build-flags.sh
+   fails on a call to it. *)
+let[@inline] predecode_slot (page : predecode_page) offset =
+  Array.unsafe_get (Array.unsafe_get page (offset lsr chunk_bits)) (offset land chunk_mask)
+
 (* Fast interpreter: the unified TLB, and a direct-mapped fetch front
-   cache from virtual page to predecoded page array. *)
+   cache from virtual page to predecode page. *)
 let tlb_entries = 256
 let fetch_front_bits = 6
 let fetch_front_size = 1 lsl fetch_front_bits
@@ -69,18 +97,18 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     match C.technique with Direct { vm_exit_rounds } -> vm_exit_rounds | _ -> 0
 
   (* One slot of interp's fetch front cache.  A hit proves: this virtual
-     page translated to the page whose predecode array is [fs_arr], with
-     execute permission, under this ASID and privilege, and no
+     page translated to the predecode page [fs_page], with execute
+     permission, under this ASID and privilege, and no
      translation-affecting event ([fs_gen]) has happened since.
-     Self-modifying code needs no tag: SMC invalidation clears the array in
-     place, so stale entries read as [None] and fall back to the slow
-     path. *)
+     Self-modifying code needs no tag: SMC invalidation clears the page's
+     chunks in place, so stale entries read as empty and fall back to the
+     slow path. *)
   type fetch_slot = {
     mutable fs_vpn : int;  (* -1 = empty *)
     mutable fs_asid : int;
     mutable fs_gen : int;
     mutable fs_mode : Sb_mmu.Access.privilege;
-    mutable fs_arr : Uop.decoded option array;
+    mutable fs_page : predecode_page;
   }
 
   (* the detailed model's pipeline stages *)
@@ -98,15 +126,15 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     dtlb : Sb_mmu.Page_cache.t;
     host_tlb : host_tlb;
     mutable tlb_gen : int;
-    decode_cache : (int, Uop.decoded option array) Hashtbl.t;
+    decode_cache : (int, predecode_page) Hashtbl.t;
     fetch_front : fetch_slot array;
     mutable fetch_gen : int;
         (* the front cache's tag: bumped on any event that may change
            va->pa mappings, mirroring the DBT's chain_gen *)
     (* direct execution's current-page fetch: hardware streams fetches
        within a page *)
-    mutable cur_fetch_page : int;
-    mutable cur_fetch_arr : Uop.decoded option array;
+    mutable cur_fetch_ppage : int;
+    mutable cur_fetch_page : predecode_page;
     shadow_regs : int array;
     shadow_cop : int array;
     mutable exit_token : int;
@@ -118,8 +146,6 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     mutable extra_latency : int;      (* walk latencies accumulated during translation *)
   }
 
-  let empty_arr : Uop.decoded option array = [||]
-
   (* Advance the host TLB to a fresh generation, which invalidates every
      slot at once.  Only a tag that would overflow costs a pass over the
      table. *)
@@ -130,28 +156,13 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       1
     end
 
-  (* Predecode page arrays of replaced contexts, for a fetch to refill
-     instead of allocating.  A fresh 32 KiB array would land on heap pages
-     the OS has just taken back, and fault on first use. *)
-  let spare_pages : Uop.decoded option array Stack.t = Stack.create ()
-
-  let page_array () =
-    match Stack.pop_opt spare_pages with
-    | Some arr ->
-      Array.fill arr 0 page_size None;
-      arr
-    | None -> Array.make page_size None
-
   (* [prev] is the context this one replaces, which nothing can reach any
-     more: its host TLB is taken over at the next generation, and its
-     predecode arrays become spares. *)
+     more: its host TLB is taken over at the next generation.  Its
+     predecode pages are left to the GC: a new context allocates only the
+     chunks its code fills, from the minor heap. *)
   let make_ctx ?prev (g : Guest.t) =
     let cpu = g.cpu in
     if vm_exit_rounds > 0 then Guest.check_register_file ~who:"Core" cpu;
-    Option.iter
-      (fun prev ->
-        Hashtbl.iter (fun _ arr -> Stack.push arr spare_pages) prev.decode_cache)
-      prev;
     let host_tlb, tlb_gen =
       match prev with
       | Some prev when host_tlb -> (prev.host_tlb, next_gen prev.host_tlb prev.tlb_gen)
@@ -187,12 +198,12 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
                  fs_asid = 0;
                  fs_gen = 0;
                  fs_mode = Sb_mmu.Access.Kernel;
-                 fs_arr = empty_arr;
+                 fs_page = no_page;
                })
          else [||]);
       fetch_gen = 0;
-      cur_fetch_page = -1;
-      cur_fetch_arr = empty_arr;
+      cur_fetch_ppage = -1;
+      cur_fetch_page = no_page;
       shadow_regs = Array.make 16 0;
       shadow_cop = Array.make Cregs.count 0;
       exit_token = 0;
@@ -351,12 +362,17 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
 
   (* ------------- memory ------------------------------------------------- *)
 
-  (* A store to a page holding predecoded instructions clears its array in
-     place: the array is reused when the code is re-decoded, as a
-     pre-decoding interpreter would. *)
+  (* A store to a page holding predecoded instructions clears the page's
+     filled chunks in place: the front cache and the current-page fetch
+     read empty slots at once, and a re-decode refills the same chunks, as
+     a pre-decoding interpreter would, without allocating. *)
   let smc_invalidate ctx ppage =
     (match Hashtbl.find ctx.decode_cache ppage with
-    | arr -> Array.fill arr 0 page_size None
+    | page ->
+      for i = 0 to chunks_per_page - 1 do
+        let chunk = Array.unsafe_get page i in
+        if chunk != empty_chunk then Array.fill chunk 0 chunk_slots no_insn
+      done
     | exception Not_found -> ());
     Guest.code_invalidated ctx.g ppage
 
@@ -394,13 +410,19 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     Perf.incr ctx.perf Perf.Decodes;
     A.decode ~fetch8:(fetch_byte ctx ~iaddr:va) ~addr:va
 
-  let decode_into ctx arr ~va ~pa =
+  (* The slot is the chunk of the instruction's first byte; an instruction
+     that runs on into the next chunk needs nothing more, since SMC
+     invalidation clears a whole page. *)
+  let decode_into ctx page ~va ~pa =
     let d = decode_at ctx va in
     (* never cache an instruction that straddles a page: its tail bytes
        live on a page whose invalidation would not reach this entry *)
     if (va + d.Uop.length - 1) lsr page_shift <> va lsr page_shift then d
     else begin
-      arr.(pa land page_mask) <- Some d;
+      let offset = pa land page_mask in
+      let i = offset lsr chunk_bits in
+      if page.(i) == empty_chunk then page.(i) <- Array.make chunk_slots no_insn;
+      page.(i).(offset land chunk_mask) <- d;
       (* the page holds decoded state again: re-arm write detection *)
       Guest.mark_code ctx.g (pa lsr page_shift);
       d
@@ -414,22 +436,22 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     if Sb_mem.Bus.is_ram ctx.bus pa then pa
     else bus_fault ~iaddr:va ~kind:Sb_mmu.Access.Execute ~va
 
-  (* A physical page's predecode array, made on the first fetch from it.
-     [find] rather than [find_opt]: a loop that spans two code pages
-     switches pages every iteration, and a hit must not allocate. *)
+  (* A physical page's predecode page, made on the first fetch from it
+     with every chunk empty.  [find] rather than [find_opt]: a loop that
+     spans two code pages switches pages every iteration, and a hit must
+     not allocate. *)
   let[@inline] predecode_page ctx ppage =
     match Hashtbl.find ctx.decode_cache ppage with
-    | arr -> arr
+    | page -> page
     | exception Not_found ->
-      let arr = page_array () in
-      Hashtbl.add ctx.decode_cache ppage arr;
+      let page = Array.make chunks_per_page empty_chunk in
+      Hashtbl.add ctx.decode_cache ppage page;
       Guest.mark_code ctx.g ppage;
-      arr
+      page
 
-  let[@inline] predecoded ctx arr ~va ~pa =
-    match Array.unsafe_get arr (pa land page_mask) with
-    | Some d when d.Uop.addr = va -> d
-    | _ -> decode_into ctx arr ~va ~pa
+  let[@inline] predecoded ctx page ~va ~pa =
+    let d = predecode_slot page (pa land page_mask) in
+    if d.Uop.addr = va then d else decode_into ctx page ~va ~pa
 
   (* interp's fetch past its front cache, and every fetch without
      predecoding *)
@@ -437,8 +459,8 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
     let pa = fetch_pa ctx va in
     if not front_cache then decode_at ctx va
     else begin
-      let arr = predecode_page ctx (pa lsr page_shift) in
-      (* the translation above vouched for (vpn, asid, mode) -> arr with
+      let page = predecode_page ctx (pa lsr page_shift) in
+      (* the translation above vouched for (vpn, asid, mode) -> page with
          execute permission; remember it for subsequent fetches *)
       let vpn = va lsr page_shift in
       let slot = ctx.fetch_front.(vpn land fetch_front_mask) in
@@ -446,25 +468,25 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
       slot.fs_asid <- ctx.cpu.Cpu.cop.(Cregs.asid);
       slot.fs_gen <- ctx.fetch_gen;
       slot.fs_mode <- ctx.cpu.Cpu.mode;
-      slot.fs_arr <- arr;
-      predecoded ctx arr ~va ~pa
+      slot.fs_page <- page;
+      predecoded ctx page ~va ~pa
     end
 
   (* direct execution's fetch: every fetch translates, and fetches on the
-     current page reuse its predecode array *)
+     current page reuse its predecode page *)
   let host_fetch ctx va =
     let pa = fetch_pa ctx va in
     let ppage = pa lsr page_shift in
-    let arr =
-      if ctx.cur_fetch_page = ppage then ctx.cur_fetch_arr
+    let page =
+      if ctx.cur_fetch_ppage = ppage then ctx.cur_fetch_page
       else begin
-        let arr = predecode_page ctx ppage in
-        ctx.cur_fetch_page <- ppage;
-        ctx.cur_fetch_arr <- arr;
-        arr
+        let page = predecode_page ctx ppage in
+        ctx.cur_fetch_ppage <- ppage;
+        ctx.cur_fetch_page <- page;
+        page
       end
     in
-    predecoded ctx arr ~va ~pa
+    predecoded ctx page ~va ~pa
 
   (* interp's fetch *)
   let fetch_decode ctx va =
@@ -482,11 +504,12 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
         && slot.fs_asid = ctx.cpu.Cpu.cop.(Cregs.asid)
         && slot.fs_mode = ctx.cpu.Cpu.mode
       then begin
-        match slot.fs_arr.(va land page_mask) with
-        | Some d when d.Uop.addr = va ->
+        let d = predecode_slot slot.fs_page (va land page_mask) in
+        if d.Uop.addr = va then begin
           Perf.incr ctx.perf Perf.Front_cache_hits;
           d
-        | _ -> fetch_decode_slow ctx va
+        end
+        else fetch_decode_slow ctx va
       end
       else fetch_decode_slow ctx va
     end
@@ -704,7 +727,7 @@ module Make (A : Arch_sig.ARCH) (C : CONFIG) = struct
 
   (* The last run's translation state (TLBs, decode cache, fetch front,
      cache models) is kept while the machine is unchanged, and a rebuild
-     recycles the replaced context's tables (see [make_ctx]). *)
+     takes the replaced context's host TLB over (see [make_ctx]). *)
   let session = Guest.session ()
   let run ?max_insns machine =
     Guest.run session ~name ~make:make_ctx ~execute ?max_insns machine

@@ -20,6 +20,16 @@
                                          through a five-stage pipeline
     v}
 
+    Interp, virt and native predecode by physical page, one slot per
+    byte offset, in 64 chunks of 64 slots (64 bytes of code each).  A
+    chunk is allocated by the first decode into it and every unfilled
+    chunk is one shared empty chunk, so a page holds host memory only
+    where its code lies.  A slot holds the decoded instruction itself, an
+    empty one a sentinel whose address no fetch has, so a lookup is two
+    unchecked loads, the chunk and the instruction.  A store to a
+    predecoded page clears its filled chunks in place, so a re-decode
+    allocates nothing.
+
     The flat host TLB has one slot per 4 KiB page of the 32-bit space, in
     a zero mapping ({!Sb_mem.Phys_mem.zero_buf}): host memory backs only
     the pages of slots some run has written, outside the OCaml heap.  A

@@ -655,27 +655,56 @@ let handle_line t c line =
     send t c (Protocol.Run_dump { source = "serve"; cells = dump_cells t })
   | Ok Protocol.Shutdown -> begin_shutdown t ~reason:"shutdown requested"
 
-let process_input t c =
-  let data = Buffer.contents c.cl_in in
-  Buffer.clear c.cl_in;
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start <= n - 1 do
-       match String.index_from data !start '\n' with
-       | exception Not_found -> raise Exit
-       | nl ->
-         let line = String.sub data !start (nl - !start) in
-         start := nl + 1;
-         let line =
-           if line <> "" && line.[String.length line - 1] = '\r' then
-             String.sub line 0 (String.length line - 1)
-           else line
-         in
-         if line <> "" && not c.cl_closing then handle_line t c line
-     done
-   with Exit -> ());
-  if !start < n then Buffer.add_substring c.cl_in data !start (n - !start)
+(* The longest inbound frame, newline excluded.  A client whose frame
+   grows past it gets an error frame and is dropped, so one peer cannot
+   grow the daemon's memory without bound.  A submit takes about 95 bytes
+   per cell, so the cap admits jobs of some 44,000 cells. *)
+let max_frame = 4 * 1024 * 1024
+
+let reject_frame t c =
+  Buffer.reset c.cl_in;
+  log t "client %d (%s) dropped: frame longer than %d bytes" c.cl_id c.cl_session
+    max_frame;
+  send t c
+    (Protocol.Error_msg
+       {
+         id = None;
+         message = Printf.sprintf "frame longer than %d bytes without a newline" max_frame;
+       });
+  (* flushed, then closed: see [flush_client] *)
+  c.cl_closing <- true
+
+let handle_frame t c line =
+  let n = String.length line in
+  let line = if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line in
+  if line <> "" then handle_line t c line
+
+(* Split the [n] bytes just read at their newlines.  Only a frame's
+   unterminated part waits in [cl_in], so each inbound byte is copied a
+   bounded number of times however many reads a frame takes. *)
+let process_input t c buf n =
+  let rec newline i = if i >= n || Bytes.get buf i = '\n' then i else newline (i + 1) in
+  let rec frames start =
+    if start < n && not c.cl_closing then begin
+      let nl = newline start in
+      if Buffer.length c.cl_in + (nl - start) > max_frame then reject_frame t c
+      else if nl = n then Buffer.add_subbytes c.cl_in buf start (n - start)
+      else begin
+        let line =
+          if Buffer.length c.cl_in = 0 then Bytes.sub_string buf start (nl - start)
+          else begin
+            Buffer.add_subbytes c.cl_in buf start (nl - start);
+            let line = Buffer.contents c.cl_in in
+            Buffer.reset c.cl_in;
+            line
+          end
+        in
+        handle_frame t c line;
+        frames (nl + 1)
+      end
+    end
+  in
+  frames 0
 
 let read_client t c =
   match Unix.read c.cl_fd t.read_buf 0 (Bytes.length t.read_buf) with
@@ -683,8 +712,8 @@ let read_client t c =
   | n ->
     c.cl_last_heard <- Unix.gettimeofday ();
     c.cl_missed <- 0;
-    Buffer.add_subbytes c.cl_in t.read_buf 0 n;
-    process_input t c
+    (* a closing client's requests are not answered *)
+    if not c.cl_closing then process_input t c t.read_buf n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> drop_client t c
 

@@ -23,6 +23,9 @@
     the sockets close.  A running attempt is never SIGKILLed; the workers,
     idle by then, are stopped with the sockets.
 
+    An inbound frame longer than 4 MiB without a newline gets an error
+    frame, and its client is dropped.
+
     The daemon is single-threaded: one [Unix.select] loop multiplexes
     listener sockets, client sockets and worker pipes.  Tests drive the
     same loop one {!step} at a time, in-process. *)

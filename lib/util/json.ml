@@ -242,10 +242,19 @@ let parse_number p =
         p.pos <- start;
         fail p (Printf.sprintf "invalid number %S" text))
 
-let rec parse_value p =
+(* The deepest nesting of arrays and objects a document may have.  The
+   parse recurses once per level, and a deep stack makes every minor
+   collection scan it, so input nested without bound would take time
+   quadratic in its depth; the repository's own documents nest about 5
+   deep. *)
+let max_depth = 512
+
+let rec parse_value p depth =
   skip_ws p;
   match peek p with
   | None -> fail p "expected a value, found end of input"
+  | Some ('{' | '[') when depth = max_depth ->
+    fail p (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
     advance p;
     skip_ws p;
@@ -262,7 +271,7 @@ let rec parse_value p =
         let k = parse_string p in
         skip_ws p;
         expect p ':';
-        let v = parse_value p in
+        let v = parse_value p (depth + 1) in
         skip_ws p;
         match peek p with
         | Some ',' ->
@@ -284,7 +293,7 @@ let rec parse_value p =
     end
     else begin
       let rec items acc =
-        let v = parse_value p in
+        let v = parse_value p (depth + 1) in
         skip_ws p;
         match peek p with
         | Some ',' ->
@@ -307,7 +316,7 @@ let rec parse_value p =
 let of_string s =
   let p = { src = s; pos = 0 } in
   match
-    let v = parse_value p in
+    let v = parse_value p 0 in
     skip_ws p;
     (match peek p with
     | Some c -> fail p (Printf.sprintf "trailing garbage '%c' after value" c)

@@ -23,7 +23,10 @@ val of_string : string -> (t, string) result
     allowed, trailing garbage is an error).  Errors carry the position:
     ["line L, column C: message"].  Numbers without ['.'], ['e'] or ['E']
     parse as [Int] (degrading to [Float] beyond [int] range); [\uXXXX]
-    escapes, including surrogate pairs, decode to UTF-8. *)
+    escapes, including surrogate pairs, decode to UTF-8.  An array or
+    object nested more than 512 deep is an error ("nesting deeper than
+    512"), found at its opening bracket, so untrusted input costs time
+    linear in its length. *)
 
 (** {2 Accessors}
 

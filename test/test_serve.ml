@@ -719,6 +719,68 @@ let test_activity_is_heartbeat () =
       Alcotest.(check int) "still connected" 1 (Serve.client_count server);
       Alcotest.(check int) "never dropped" 0 (counter server "clients_dropped"))
 
+(* A frame that grows past 4 MiB without a newline gets one error frame
+   and the connection is closed; the daemon goes on serving other
+   clients. *)
+let test_oversized_frame_dropped () =
+  with_server (fun server path ->
+      let tc = tconnect server path in
+      let other = tconnect server path in
+      Fun.protect ~finally:(fun () -> tclose tc; tclose other) @@ fun () ->
+      let cap = 4 * 1024 * 1024 in
+      let chunk = Bytes.make 65536 'x' in
+      let sent = ref 0 in
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while
+        Serve.client_count server = 2
+        && !sent <= 2 * cap
+        && Unix.gettimeofday () < deadline
+      do
+        (match Unix.write tc.fd chunk 0 (Bytes.length chunk) with
+        | n -> sent := !sent + n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+        Serve.step ~timeout:0.01 server
+      done;
+      Alcotest.(check int) "the sender is dropped" 1 (Serve.client_count server);
+      Alcotest.(check bool) "not before the cap" true (!sent > cap);
+      (* what the daemon sent before closing; bytes it never read may end
+         the stream with a reset instead of an end of file *)
+      let received = Buffer.create 256 in
+      let buf = Bytes.create 4096 in
+      let rec slurp () =
+        match Unix.read tc.fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes received buf 0 n;
+          slurp ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          if Unix.gettimeofday () < deadline then begin
+            Serve.step ~timeout:0.01 server;
+            slurp ()
+          end
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      in
+      slurp ();
+      let frames =
+        List.filter_map
+          (fun line ->
+            if line = "" then None
+            else
+              match Protocol.response_of_line line with
+              | Ok resp -> Some resp
+              | Error msg -> Alcotest.fail ("unparsable server frame: " ^ msg))
+          (String.split_on_char '\n' (Buffer.contents received))
+      in
+      (match frames with
+      | [ Protocol.Error_msg { id = None; message } ] ->
+        check_contains "error frame" message "frame longer than 4194304 bytes"
+      | _ -> Alcotest.failf "expected one error frame, got %d frames" (List.length frames));
+      tsend other (Protocol.Ping { seq = 1 });
+      wait_for server other
+        (function Protocol.Pong { seq } -> seq = 1 | _ -> false)
+        "pong from the other client")
+
 let test_resume_dedups_after_disconnect () =
   let cache = tmp_dir "sb_serve_resume" in
   Fun.protect ~finally:(fun () -> rm_rf cache) @@ fun () ->
@@ -1144,6 +1206,8 @@ let () =
             test_heartbeat_drops_silent_client;
           Alcotest.test_case "activity is heartbeat" `Quick
             test_activity_is_heartbeat;
+          Alcotest.test_case "oversized frame dropped" `Quick
+            test_oversized_frame_dropped;
           Alcotest.test_case "resume dedups after disconnect" `Quick
             test_resume_dedups_after_disconnect;
           Alcotest.test_case "row keys match spec keys" `Quick

@@ -71,6 +71,33 @@ let test_json () =
   Alcotest.(check string) "control chars escaped" "\"\\u0007\""
     (to_string (String "\007"))
 
+(* Untrusted documents nest at most 512 deep: one level more is an error
+   at its opening bracket, so a long run of brackets costs time linear in
+   its length instead of a parse to its end. *)
+let test_json_depth () =
+  let open Sb_util.Json in
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> {|{"a":|})) ^ "0" ^ String.make n '}'
+  in
+  let rejected what doc ~column =
+    match of_string doc with
+    | Ok _ -> Alcotest.failf "%s: parsed" what
+    | Error msg ->
+      Alcotest.(check string) what
+        (Printf.sprintf "line 1, column %d: nesting deeper than 512" column)
+        msg
+  in
+  List.iter
+    (fun (what, doc) ->
+      match of_string doc with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" what msg)
+    [ ("512 arrays", arrays 512); ("512 objects", objects 512) ];
+  rejected "513 arrays" (arrays 513) ~column:513;
+  rejected "513 objects" (objects 513) ~column:((512 * 5) + 1);
+  rejected "a million open brackets" (String.make 1_000_000 '[') ~column:513
+
 let test_xorshift_deterministic () =
   let a = Sb_util.Xorshift.create ~seed:42 in
   let b = Sb_util.Xorshift.create ~seed:42 in
@@ -139,7 +166,11 @@ let () =
       ( "stats",
         [ Alcotest.test_case "aggregates" `Quick test_stats ]
         @ qcheck [ prop_geomean_bounds ] );
-      ("json", [ Alcotest.test_case "emitter" `Quick test_json ]);
+      ( "json",
+        [
+          Alcotest.test_case "emitter" `Quick test_json;
+          Alcotest.test_case "nesting depth bounded" `Quick test_json_depth;
+        ] );
       ( "xorshift",
         [
           Alcotest.test_case "deterministic" `Quick test_xorshift_deterministic;

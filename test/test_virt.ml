@@ -129,11 +129,118 @@ let test_host_tlb_off_heap () =
   end;
   ignore (Sys.opaque_identity engines)
 
+(* Interp, virt and native predecode by the 64-byte chunk: a code page
+   holds slots only where its code lies.  Inter-Page Direct and Indirect
+   put one short function on each of 16 pages, so each engine fetches from
+   about 18 pages; a flat 4,096-slot array per page grew the major heap by
+   about 74 k words per engine.  Fresh engines are instantiated, so none
+   reuses what an earlier case left, and kept reachable until measured,
+   since each one's session holds its pages.  Interp runs both benches
+   first, to bring in the harness's pooled RAM and the pages the benches
+   write.  A full major collection before each reading leaves what the
+   engine holds, young chunks included. *)
+let test_predecode_by_chunk () =
+  let module Interp_sba = Sb_interp.Interp.Make (Sb_arch_sba.Arch) in
+  let module Virt_sba = Sb_virt.Virt.Make_virt (Sb_arch_sba.Arch) in
+  let module Native_sba = Sb_virt.Virt.Make_native (Sb_arch_sba.Arch) in
+  let module Interp_vlx = Sb_interp.Interp.Make (Sb_arch_vlx.Arch) in
+  let module Virt_vlx = Sb_virt.Virt.Make_virt (Sb_arch_vlx.Arch) in
+  let module Native_vlx = Sb_virt.Virt.Make_native (Sb_arch_vlx.Arch) in
+  let sba = Sb_isa.Arch_sig.Sba and vlx = Sb_isa.Arch_sig.Vlx in
+  let run arch (engine : Sb_sim.Engine.t) =
+    List.iter
+      (fun bench ->
+        ignore
+          (Simbench.Harness.run ~support:(Simbench.Engines.support arch) ~engine bench))
+      [ Simbench.Suite.inter_page_direct; Simbench.Suite.inter_page_indirect ]
+  in
+  run sba (Simbench.Engines.interp sba);
+  run vlx (Simbench.Engines.interp vlx);
+  let heap_words () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.heap_words
+  in
+  let engines : (string * Sb_isa.Arch_sig.arch_id * Sb_sim.Engine.t) list =
+    [
+      ("interp", sba, (module Interp_sba));
+      ("virt", sba, (module Virt_sba));
+      ("native", sba, (module Native_sba));
+      ("interp", vlx, (module Interp_vlx));
+      ("virt", vlx, (module Virt_vlx));
+      ("native", vlx, (module Native_vlx));
+    ]
+  in
+  List.iter
+    (fun (label, arch, engine) ->
+      let before = heap_words () in
+      run arch engine;
+      let grown = heap_words () - before in
+      if grown >= 64 * 1024 then
+        Alcotest.failf "%s on %s grew the major heap by %d words" label
+          (Sb_isa.Arch_sig.arch_id_name arch) grown)
+    engines;
+  ignore (Sys.opaque_identity engines)
+
+(* A VLX instruction whose bytes run from one 64-byte chunk into the next,
+   inside one page, is filed under the chunk of its first byte: each
+   engine decodes the loop once, and interp's later fetches hit its front
+   cache, with the counts of a flat per-page array. *)
+let test_chunk_straddle () =
+  let module VI = Sb_arch_vlx.Insn in
+  let module Interp_vlx = Sb_interp.Interp.Make (Sb_arch_vlx.Arch) in
+  let module Virt_vlx = Sb_virt.Virt.Make_virt (Sb_arch_vlx.Arch) in
+  let module Native_vlx = Sb_virt.Virt.Make_native (Sb_arch_vlx.Arch) in
+  let n = 100 in
+  let straddle = 62 in
+  let program =
+    VI.Asm.assemble ~base:0 ~entry:"start"
+      [
+        Label "start";
+        Insn (VI.Movi (2, n));
+        Insn (VI.Jmp "loop");
+        Org straddle;
+        Label "loop";
+        Insn (VI.Alu_ri (Sb_isa.Uop.Sub, 2, 2, 1));
+        Insn (VI.Cmp_ri (2, 0));
+        Insn (VI.Jcc (Sb_isa.Uop.Ne, "loop"));
+        Insn VI.Halt;
+      ]
+  in
+  let sub = VI.size (VI.Alu_ri (Sb_isa.Uop.Sub, 2, 2, 1)) in
+  Alcotest.(check bool) "the loop's first instruction crosses a chunk" true
+    (straddle / 64 <> (straddle + sub - 1) / 64);
+  let count engine counter =
+    let machine = Sb_sim.Machine.create ~ram_size:(1 lsl 20) () in
+    Sb_sim.Machine.load_program machine program;
+    let result = Sb_sim.Engine.run engine ~max_insns:1_000_000 machine in
+    Alcotest.(check bool) "halted" true
+      (result.Sb_sim.Run_result.stop = Sb_sim.Run_result.Halted);
+    Sb_sim.Perf.get result.Sb_sim.Run_result.perf counter
+  in
+  (* Movi, Jmp, the three loop instructions and Halt *)
+  let decoded = 6 in
+  List.iter
+    (fun (label, engine) ->
+      Alcotest.(check int) (label ^ " decodes each instruction once") decoded
+        (count engine Sb_sim.Perf.Decodes))
+    [
+      ("interp", (module Interp_vlx : Sb_sim.Engine.ENGINE));
+      ("virt", (module Virt_vlx));
+      ("native", (module Native_vlx));
+    ];
+  (* every loop fetch after the first pass *)
+  Alcotest.(check int) "interp front cache hits" (3 * (n - 1))
+    (count (module Interp_vlx) Sb_sim.Perf.Front_cache_hits)
+
 let () =
   Alcotest.run "sb_virt"
     [
       ( "memory",
-        [ Alcotest.test_case "host TLB off the heap" `Quick test_host_tlb_off_heap ] );
+        [
+          Alcotest.test_case "host TLB off the heap" `Quick test_host_tlb_off_heap;
+          Alcotest.test_case "predecode by the chunk" `Quick test_predecode_by_chunk;
+          Alcotest.test_case "instruction across a chunk" `Quick test_chunk_straddle;
+        ] );
       ( "vm-exits",
         [
           Alcotest.test_case "per device access" `Quick test_vm_exits_per_device_access;
