@@ -2,11 +2,13 @@
 
    Subcommands:
      list        enumerate benchmarks, engines, workloads and DBT versions
-     run         run one benchmark or workload on one engine
-     suite       run the full suite on one engine and print the table
-     workload    run one SPEC-analog workload
+     run         run one benchmark or workload, or all of them, on one engine
+     disasm      disassemble a benchmark's guest image
+     verify      differential fuzzing of every engine
      chaos       deterministic fault injection + differential convergence
      lint        statically check benchmark programs and conventions
+     tv          symbolic translation validation of the DBT
+     debug       single-step a benchmark under a debugger
      report      run the paper's figures, the extension table and the
                  ablations from one registry, optionally writing bench JSON
      baseline    snapshot a --json run directory as a regression baseline
@@ -31,8 +33,6 @@ let arch_arg =
     & opt arch_conv Sb_isa.Arch_sig.Sba
     & info [ "a"; "arch" ] ~docv:"ARCH" ~doc:"Guest architecture: sba (ARM analog) or vlx (x86 analog).")
 
-let engine_of_string arch s = Simbench.Engines.of_string arch s
-
 let engine_arg =
   Arg.(
     value & opt string "dbt"
@@ -40,16 +40,6 @@ let engine_arg =
         ~doc:
           "Engine: interp, dbt, detailed, virt, native, or dbt@VERSION (e.g. \
            dbt@v2.0.0).")
-
-let scale_arg =
-  Arg.(
-    value & opt int Simbench.Harness.default_scale
-    & info [ "scale" ] ~docv:"N" ~doc:"Divide Figure 3 iteration counts by N.")
-
-let iters_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "iters" ] ~docv:"N" ~doc:"Exact iteration count (overrides --scale).")
 
 let switch_at_conv =
   let parse s =
@@ -85,6 +75,31 @@ let bounded conv what ok =
 let positive_int = bounded Arg.int "positive integer" (fun n -> n >= 1)
 let non_negative_int = bounded Arg.int "non-negative integer" (fun n -> n >= 0)
 let positive_float = bounded Arg.float "positive number" (fun f -> f > 0.0)
+
+let scale_arg =
+  Arg.(
+    value & opt positive_int Simbench.Harness.default_scale
+    & info [ "scale" ] ~docv:"N" ~doc:"Divide Figure 3 iteration counts by N.")
+
+let iters_arg =
+  Arg.(
+    value & opt (some positive_int) None
+    & info [ "iters" ] ~docv:"N" ~doc:"Exact iteration count (overrides --scale).")
+
+(* flags several verbs define the same way *)
+let json_flag =
+  Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+
+let arch_opt_arg =
+  Arg.(
+    value
+    & opt (some arch_conv) None
+    & info [ "a"; "arch" ] ~docv:"ARCH"
+        ~doc:"One architecture only (default: both).")
+
+let arches_of = function
+  | Some a -> [ a ]
+  | None -> Simbench.Engines.all_arches
 
 let jobs_arg =
   Arg.(
@@ -133,17 +148,21 @@ let print_outcome (o : Simbench.Harness.outcome) =
     (Simbench.Harness.density o)
 
 let with_engine arch engine_name f =
-  match engine_of_string arch engine_name with
+  match Simbench.Engines.of_string arch engine_name with
   | Error msg ->
     prerr_endline msg;
     1
   | Ok engine -> f engine
 
-(* a Figure 3 benchmark, else one of the extension suite *)
-let find_bench name =
-  match Simbench.Suite.find name with
-  | Some _ as b -> b
-  | None -> Simbench.Suite_ext.find name
+let with_bench name f =
+  match Sb_workloads.Target.find name with
+  | Error msg ->
+    Printf.eprintf "%s; try the list command\n" msg;
+    1
+  | Ok bench -> f bench
+
+let bench_pos doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc)
 
 (* the byte of an assembled image at an address; 0 outside the image *)
 let image_read8 (program : Sb_asm.Program.t) a =
@@ -155,19 +174,17 @@ let image_read8 (program : Sb_asm.Program.t) a =
 
 let list_cmd =
   let action () =
-    print_endline "Benchmarks (Figure 3):";
-    List.iter
-      (fun b ->
-        Printf.printf "  %-28s %-20s %s\n" b.Simbench.Bench.name
-          (Simbench.Category.name b.Simbench.Bench.category)
-          b.Simbench.Bench.description)
-      Simbench.Suite.all;
-    print_endline "\nExtension benchmarks (beyond the paper's 18):";
-    List.iter
-      (fun b ->
-        Printf.printf "  %-28s %-20s %s\n" b.Simbench.Bench.name
-          (Simbench.Category.name b.Simbench.Bench.category)
-          b.Simbench.Bench.description)
+    let benches title list =
+      print_endline title;
+      List.iter
+        (fun b ->
+          Printf.printf "  %-28s %-20s %s\n" b.Simbench.Bench.name
+            (Simbench.Category.name b.Simbench.Bench.category)
+            b.Simbench.Bench.description)
+        list
+    in
+    benches "Benchmarks (Figure 3):" Simbench.Suite.all;
+    benches "\nExtension benchmarks (beyond the paper's 18):"
       Simbench.Suite_ext.all;
     print_endline "\nEngines: interp | dbt | detailed | virt | native | dbt@VERSION";
     print_endline "\nDBT versions:";
@@ -188,32 +205,35 @@ let list_cmd =
 let run_cmd =
   let bench_arg =
     Arg.(
-      required
+      value
       & pos 0 (some string) None
       & info [] ~docv:"BENCHMARK"
           ~doc:
-            "A Figure 3 or extension benchmark, or a SPEC-analog workload \
-             (which runs 40 kernel passes unless $(b,--iters) is given).")
+            "Any name $(b,list) prints: a Figure 3 or extension benchmark, \
+             or a SPEC-analog workload (which runs 40 kernel passes unless \
+             $(b,--iters) is given).  Case does not matter.")
+  in
+  let all_arg =
+    Arg.(
+      value & flag
+      & info [ "all" ]
+          ~doc:"Run every benchmark and workload, in the order $(b,list) prints them.")
   in
   let counters_arg =
     Arg.(
       value & flag
       & info [ "counters" ] ~doc:"Print the kernel-phase perf counters.")
   in
-  let action arch engine_name name scale iters counters switch_at
+  let action arch engine_name name all scale iters counters switch_at
       setup_engine_name ckpt_dir =
-    match Sb_report.Experiments.target_of_name name with
-    | Error msg ->
-      Printf.eprintf "%s; try the list command\n" msg;
-      1
-    | Ok target ->
+    let run benches =
       with_engine arch engine_name (fun engine ->
           let support = Simbench.Engines.support arch in
           let setup_engine =
             match setup_engine_name with
             | None -> None
             | Some s -> (
-              match engine_of_string arch s with
+              match Simbench.Engines.of_string arch s with
               | Ok e -> Some e
               | Error msg ->
                 prerr_endline msg;
@@ -223,139 +243,84 @@ let run_cmd =
             Option.map (fun dir -> Simbench.Checkpoint.open_store ~dir)
               ckpt_dir
           in
-          let o =
-            match target with
-            | Sb_report.Experiments.Bench bench ->
-              Simbench.Harness.run ~scale ?iters ?switch_at ?setup_engine
-                ?checkpoints ~support ~engine bench
-            | Sb_report.Experiments.Workload w ->
-              Sb_workloads.Workloads.run ?iters ?switch_at ?setup_engine
-                ?checkpoints ~support ~engine w
-          in
-          print_outcome o;
-          if counters then begin
-            match o.Simbench.Harness.result.Sb_sim.Run_result.kernel_perf with
-            | Some kp ->
-              print_endline "kernel-phase counters:";
-              List.iter
-                (fun (c, v) ->
-                  Printf.printf "  %-24s %d\n" (Sb_sim.Perf.to_string c) v)
-                (Sb_sim.Perf.to_alist kp)
-            | None -> print_endline "no kernel perf snapshot"
-          end;
+          List.iter
+            (fun bench ->
+              let o =
+                Simbench.Harness.run ~scale ?iters ?switch_at ?setup_engine
+                  ?checkpoints ~support ~engine bench
+              in
+              print_outcome o;
+              if counters then
+                match o.Simbench.Harness.result.Sb_sim.Run_result.kernel_perf with
+                | Some kp ->
+                  print_endline "kernel-phase counters:";
+                  List.iter
+                    (fun (c, v) ->
+                      Printf.printf "  %-24s %d\n" (Sb_sim.Perf.to_string c) v)
+                    (Sb_sim.Perf.to_alist kp)
+                | None -> print_endline "no kernel perf snapshot")
+            benches;
           0)
+    in
+    match (name, all) with
+    | Some name, false -> `Ok (with_bench name (fun bench -> run [ bench ]))
+    | None, true -> `Ok (run Sb_workloads.Target.all)
+    | _ -> `Error (true, "give one benchmark or --all")
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one benchmark or workload on one engine.")
+    (Cmd.info "run"
+       ~doc:"Run one benchmark or workload, or all of them, on one engine.")
     Term.(
-      const action $ arch_arg $ engine_arg $ bench_arg $ scale_arg $ iters_arg
-      $ counters_arg $ switch_at_arg $ setup_engine_arg $ ckpt_arg)
-
-(* ---- suite ---- *)
-
-let suite_cmd =
-  let action arch engine_name scale switch_at ckpt_dir =
-    with_engine arch engine_name (fun engine ->
-        let support = Simbench.Engines.support arch in
-        let checkpoints =
-          Option.map (fun dir -> Simbench.Checkpoint.open_store ~dir) ckpt_dir
-        in
-        List.iter
-          (fun bench ->
-            print_outcome
-              (Simbench.Harness.run ~scale ?switch_at ?checkpoints ~support
-                 ~engine bench))
-          Simbench.Suite.all;
-        0)
-  in
-  Cmd.v (Cmd.info "suite" ~doc:"Run the full 18-benchmark suite on one engine.")
-    Term.(
-      const action $ arch_arg $ engine_arg $ scale_arg $ switch_at_arg
-      $ ckpt_arg)
-
-(* ---- workload ---- *)
-
-let workload_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload name (e.g. sjeng, mcf).")
-  in
-  let iters_arg =
-    Arg.(value & opt int 40 & info [ "iters" ] ~docv:"N" ~doc:"Kernel passes.")
-  in
-  let action arch engine_name name iters switch_at ckpt_dir =
-    match Sb_workloads.Workloads.find name with
-    | None ->
-      Printf.eprintf "unknown workload %S; try the list command\n" name;
-      1
-    | Some w ->
-      with_engine arch engine_name (fun engine ->
-          let support = Simbench.Engines.support arch in
-          let checkpoints =
-            Option.map (fun dir -> Simbench.Checkpoint.open_store ~dir)
-              ckpt_dir
-          in
-          print_outcome
-            (Sb_workloads.Workloads.run ~iters ?switch_at ?checkpoints ~support
-               ~engine w);
-          0)
-  in
-  Cmd.v (Cmd.info "workload" ~doc:"Run one SPEC-analog workload on one engine.")
-    Term.(
-      const action $ arch_arg $ engine_arg $ name_arg $ iters_arg
-      $ switch_at_arg $ ckpt_arg)
+      ret
+        (const action $ arch_arg $ engine_arg $ bench_arg $ all_arg $ scale_arg
+        $ iters_arg $ counters_arg $ switch_at_arg $ setup_engine_arg
+        $ ckpt_arg))
 
 (* ---- disasm ---- *)
 
 let disasm_cmd =
-  let bench_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmark whose assembled image to disassemble.")
-  in
   let limit_arg =
     Arg.(
-      value & opt int 256
+      value & opt positive_int 256
       & info [ "limit" ] ~docv:"BYTES" ~doc:"How many bytes to disassemble.")
   in
   let action arch bench_name limit =
-    match find_bench bench_name with
-    | None ->
-      Printf.eprintf "unknown benchmark %S\n" bench_name;
-      1
-    | Some bench ->
-      let support = Simbench.Engines.support arch in
-      let program =
-        Simbench.Rt.program ~support ~platform:Simbench.Platform.sbp_ref ~bench
-      in
-      let image = program.Sb_asm.Program.image in
-      let base = program.Sb_asm.Program.base in
-      let read8 = image_read8 program in
-      let arch_mod = Sb_analysis.Tv.arch_module arch in
-      Printf.printf "%s on %s: image %d bytes, entry 0x%x\n\n" bench_name
-        (Sb_isa.Arch_sig.arch_id_name arch)
-        (Bytes.length image) program.Sb_asm.Program.entry;
-      List.iter
-        (fun (name, a) -> Printf.printf "%08x <%s>\n" a name)
-        (List.filteri (fun i _ -> i < 12) program.Sb_asm.Program.symbols);
-      print_newline ();
-      print_string
-        (Sb_isa.Disasm.dump ~arch:arch_mod ~read8 ~base
-           ~len:(min limit (Bytes.length image)));
-      0
+    with_bench bench_name (fun bench ->
+        let support = Simbench.Engines.support arch in
+        let program =
+          Simbench.Rt.program ~support ~platform:Simbench.Platform.sbp_ref ~bench
+        in
+        let image = program.Sb_asm.Program.image in
+        let base = program.Sb_asm.Program.base in
+        let read8 = image_read8 program in
+        let arch_mod = Sb_analysis.Tv.arch_module arch in
+        Printf.printf "%s on %s: image %d bytes, entry 0x%x\n\n"
+          bench.Simbench.Bench.name
+          (Sb_isa.Arch_sig.arch_id_name arch)
+          (Bytes.length image) program.Sb_asm.Program.entry;
+        List.iter
+          (fun (name, a) -> Printf.printf "%08x <%s>\n" a name)
+          (List.filteri (fun i _ -> i < 12) program.Sb_asm.Program.symbols);
+        print_newline ();
+        print_string
+          (Sb_isa.Disasm.dump ~arch:arch_mod ~read8 ~base
+             ~len:(min limit (Bytes.length image)));
+        0)
   in
   Cmd.v
     (Cmd.info "disasm" ~doc:"Disassemble a benchmark's assembled guest image.")
-    Term.(const action $ arch_arg $ bench_arg $ limit_arg)
+    Term.(
+      const action $ arch_arg
+      $ bench_pos "Benchmark or workload whose assembled image to disassemble."
+      $ limit_arg)
 
 (* ---- verify ---- *)
 
 let verify_cmd =
   let seeds_arg =
-    Arg.(value & opt int 25 & info [ "seeds" ] ~docv:"N" ~doc:"Random programs to try.")
+    Arg.(
+      value & opt positive_int 25
+      & info [ "seeds" ] ~docv:"N" ~doc:"Random programs to try.")
   in
   let validate_arg =
     Arg.(
@@ -412,7 +377,7 @@ let chaos_cmd =
   in
   let seeds_arg =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "seeds" ] ~docv:"COUNT" ~doc:"How many consecutive fault plans to check.")
   in
   let quick_arg =
@@ -445,7 +410,7 @@ let chaos_cmd =
         | Ok p -> Ok [ p ]
         | Error msg -> Error msg)
       | None ->
-        let count = if quick then 1 else max 1 seeds in
+        let count = if quick then 1 else seeds in
         Ok
           (List.init count (fun i ->
                Sb_fault.Plan.generate ~seed:(seed + i)))
@@ -519,10 +484,9 @@ let lint_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"BENCHMARK"
-          ~doc:"Benchmarks to lint; the whole suite by default.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+          ~doc:
+            "Benchmarks or workloads to lint; the suite and the extension \
+             suite by default.")
   in
   let strict_arg =
     Arg.(
@@ -534,64 +498,29 @@ let lint_cmd =
       value & flag
       & info [ "workloads" ] ~doc:"Also lint the SPEC-analog workload programs.")
   in
-  let arch_opt_arg =
-    Arg.(
-      value
-      & opt (some arch_conv) None
-      & info [ "a"; "arch" ] ~docv:"ARCH"
-          ~doc:"Lint under one architecture support package only (default: all).")
-  in
   let action arch_opt json strict workloads names =
-    let all_benches =
-      Simbench.Suite.all @ Simbench.Suite_ext.all
-      @ (if workloads then
-           List.map (fun w -> w.Sb_workloads.Workloads.bench) Sb_workloads.Workloads.all
-         else [])
-    in
     let benches =
-      if names = [] then Ok all_benches
+      if names = [] then
+        Ok
+          (List.filter
+             (fun b ->
+               workloads
+               || b.Simbench.Bench.category <> Simbench.Category.Application)
+             Sb_workloads.Target.all)
       else
-        let find n =
-          match
-            List.find_opt
-              (fun b ->
-                String.lowercase_ascii b.Simbench.Bench.name
-                = String.lowercase_ascii n)
-              all_benches
-          with
-          | Some b -> Ok b
-          | None -> Error n
-        in
         List.fold_left
           (fun acc n ->
-            match (acc, find n) with
-            | Error e, _ -> Error e
-            | _, Error n -> Error n
-            | Ok bs, Ok b -> Ok (bs @ [ b ]))
+            Result.bind acc (fun bs ->
+                Result.map (fun b -> bs @ [ b ]) (Sb_workloads.Target.find n)))
           (Ok []) names
     in
     match benches with
-    | Error n ->
-      Printf.eprintf "unknown benchmark %S\n" n;
+    | Error msg ->
+      Printf.eprintf "%s; try the list command\n" msg;
       1
     | Ok benches ->
-      let arches =
-        match arch_opt with
-        | Some a -> [ a ]
-        | None -> Simbench.Engines.all_arches
-      in
-      let results =
-        List.concat_map
-          (fun arch ->
-            let support = Simbench.Engines.support arch in
-            List.map
-              (fun bench ->
-                ( bench.Simbench.Bench.name,
-                  Simbench.Support.name support,
-                  Sb_analysis.Lint.lint_bench ~support bench ))
-              benches)
-          arches
-      in
+      let arches = arches_of arch_opt in
+      let results = Sb_analysis.Lint.lint_suite ~benches ~arches () in
       (* Pass-validator sweep: statically prove the DBT optimiser pipeline
          architecturally transparent over each shipped image.  The newest
          release runs the longest pass prefix, so validating it under our
@@ -619,21 +548,14 @@ let lint_cmd =
               benches)
           arches
       in
-      let n_errors = ref 0 and n_warnings = ref 0 in
-      List.iter
-        (fun (_, _, fs) ->
-          List.iter
-            (fun f ->
-              match f.Sb_analysis.Lint.severity with
-              | Sb_analysis.Lint.Error -> incr n_errors
-              | Sb_analysis.Lint.Warning -> incr n_warnings)
-            fs)
-        results;
-      n_errors := !n_errors + List.length pass_violations;
+      let findings = List.concat_map (fun (_, _, fs) -> fs) results in
+      let finding_errors = List.length (Sb_analysis.Lint.errors findings) in
+      let n_errors = finding_errors + List.length pass_violations in
+      let n_warnings = List.length findings - finding_errors in
       if json then
         print_endline
           (Sb_util.Json.to_string
-             (Sb_analysis.Lint.to_json ~errors:!n_errors ~warnings:!n_warnings
+             (Sb_analysis.Lint.to_json ~errors:n_errors ~warnings:n_warnings
                 results pass_violations))
       else begin
         List.iter
@@ -649,13 +571,13 @@ let lint_cmd =
             Printf.printf "%s [%s]: %s\n" bench arch
               (Sb_analysis.Ir_check.message v))
           pass_violations;
-        Printf.printf "%d error%s, %d warning%s across %d lints\n" !n_errors
-          (if !n_errors = 1 then "" else "s")
-          !n_warnings
-          (if !n_warnings = 1 then "" else "s")
+        Printf.printf "%d error%s, %d warning%s across %d lints\n" n_errors
+          (if n_errors = 1 then "" else "s")
+          n_warnings
+          (if n_warnings = 1 then "" else "s")
           (List.length results)
       end;
-      if !n_errors > 0 || (strict && !n_warnings > 0) then 1 else 0
+      if n_errors > 0 || (strict && n_warnings > 0) then 1 else 0
   in
   Cmd.v
     (Cmd.info "lint"
@@ -663,19 +585,12 @@ let lint_cmd =
          "Statically check benchmark programs: label graph, reachability, \
           use-before-def, and the v3/v4/sp/lr register conventions.")
     Term.(
-      const action $ arch_opt_arg $ json_arg $ strict_arg $ workloads_arg
+      const action $ arch_opt_arg $ json_flag $ strict_arg $ workloads_arg
       $ benches_arg)
 
 (* ---- tv ---- *)
 
 let tv_cmd =
-  let arch_opt_arg =
-    Arg.(
-      value
-      & opt (some arch_conv) None
-      & info [ "a"; "arch" ] ~docv:"ARCH"
-          ~doc:"Validate one architecture only (default: all).")
-  in
   let versions_arg =
     Arg.(
       value & opt_all string []
@@ -683,9 +598,6 @@ let tv_cmd =
           ~doc:
             "DBT version(s) to validate (repeatable); all registered \
              versions by default.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
   in
   let strict_arg =
     Arg.(
@@ -702,9 +614,7 @@ let tv_cmd =
       & info [ "v"; "verbose" ] ~doc:"Per-class check-count table.")
   in
   let action arch_opt versions json strict verbose =
-    let arches =
-      match arch_opt with Some a -> [ a ] | None -> Simbench.Engines.all_arches
-    in
+    let arches = arches_of arch_opt in
     let versions = match versions with [] -> None | vs -> Some vs in
     match List.map (fun arch -> Sb_analysis.Tv.run ~arch ?versions ()) arches with
     | exception Invalid_argument msg ->
@@ -731,18 +641,12 @@ let tv_cmd =
           every decodable encoding matches the interpreter's reference \
           semantics, for every registered DBT version.")
     Term.(
-      const action $ arch_opt_arg $ versions_arg $ json_arg $ strict_arg
+      const action $ arch_opt_arg $ versions_arg $ json_flag $ strict_arg
       $ verbose_arg)
 
 (* ---- debug ---- *)
 
 let debug_cmd =
-  let bench_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCHMARK" ~doc:"Benchmark to debug.")
-  in
   let break_arg =
     Arg.(
       value & opt (some string) None
@@ -750,52 +654,53 @@ let debug_cmd =
   in
   let steps_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive_int 16
       & info [ "steps" ] ~docv:"N" ~doc:"Single-steps to trace after the break.")
   in
   let action arch engine_name bench_name break steps =
-    match find_bench bench_name with
-    | None ->
-      Printf.eprintf "unknown benchmark %S\n" bench_name;
-      1
-    | Some bench ->
-      with_engine arch engine_name (fun engine ->
-          let support = Simbench.Engines.support arch in
-          let platform = Simbench.Platform.sbp_ref in
-          let program = Simbench.Rt.program ~support ~platform ~bench in
-          let machine = Simbench.Platform.machine platform () in
-          Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev 10;
-          Sb_sim.Machine.load_program machine program;
-          let dbg =
-            Sb_sim.Debugger.create ~engine ~arch:(Sb_analysis.Tv.arch_module arch) machine
-          in
-          (match break with
-          | Some label -> (
-            match Sb_asm.Program.symbol_opt program label with
-            | Some addr ->
-              Sb_sim.Debugger.add_breakpoint dbg addr;
-              (match Sb_sim.Debugger.continue_ dbg with
-              | Sb_sim.Debugger.Breakpoint addr ->
-                Printf.printf "breakpoint hit at 0x%x after %d instructions\n\n"
-                  addr
-                  (Sb_sim.Debugger.instructions_retired dbg)
-              | _ -> Printf.printf "never reached %s\n" label)
-            | None -> Printf.printf "no such label %S; known labels:\n%s\n" label
-                (String.concat ", " (List.map fst program.Sb_asm.Program.symbols)))
-          | None -> ());
-          for _ = 1 to steps do
-            Printf.printf "%s\n"
-              (Sb_sim.Debugger.disassemble_here ~count:1 dbg);
-            ignore (Sb_sim.Debugger.step dbg)
-          done;
-          print_newline ();
-          print_string (Sb_sim.Debugger.dump_registers dbg);
-          0)
+    with_bench bench_name (fun bench ->
+        with_engine arch engine_name (fun engine ->
+            let support = Simbench.Engines.support arch in
+            let platform = Simbench.Platform.sbp_ref in
+            let program = Simbench.Rt.program ~support ~platform ~bench in
+            let machine = Simbench.Platform.machine platform () in
+            Sb_mem.Benchdev.set_iters machine.Sb_sim.Machine.benchdev 10;
+            Sb_sim.Machine.load_program machine program;
+            let dbg =
+              Sb_sim.Debugger.create ~engine
+                ~arch:(Sb_analysis.Tv.arch_module arch) machine
+            in
+            (match break with
+            | Some label -> (
+              match Sb_asm.Program.symbol_opt program label with
+              | Some addr ->
+                Sb_sim.Debugger.add_breakpoint dbg addr;
+                (match Sb_sim.Debugger.continue_ dbg with
+                | Sb_sim.Debugger.Breakpoint addr ->
+                  Printf.printf
+                    "breakpoint hit at 0x%x after %d instructions\n\n" addr
+                    (Sb_sim.Debugger.instructions_retired dbg)
+                | _ -> Printf.printf "never reached %s\n" label)
+              | None ->
+                Printf.printf "no such label %S; known labels:\n%s\n" label
+                  (String.concat ", "
+                     (List.map fst program.Sb_asm.Program.symbols)))
+            | None -> ());
+            for _ = 1 to steps do
+              Printf.printf "%s\n"
+                (Sb_sim.Debugger.disassemble_here ~count:1 dbg);
+              ignore (Sb_sim.Debugger.step dbg)
+            done;
+            print_newline ();
+            print_string (Sb_sim.Debugger.dump_registers dbg);
+            0))
   in
   Cmd.v
     (Cmd.info "debug"
        ~doc:"Single-step a benchmark under a debugger with breakpoints.")
-    Term.(const action $ arch_arg $ engine_arg $ bench_arg $ break_arg $ steps_arg)
+    Term.(
+      const action $ arch_arg $ engine_arg
+      $ bench_pos "Benchmark or workload to debug." $ break_arg $ steps_arg)
 
 (* ---- serve / client ---- *)
 
@@ -825,7 +730,7 @@ let serve_cmd =
   in
   let window_arg =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Max in-flight cells per client (backpressure); default 2x \
@@ -834,7 +739,7 @@ let serve_cmd =
   let max_buffer_arg =
     Arg.(
       value
-      & opt int (1 lsl 20)
+      & opt positive_int (1 lsl 20)
       & info [ "max-buffer" ] ~docv:"BYTES"
           ~doc:
             "Outbound watermark per client: no new cells are dispatched for \
@@ -938,7 +843,7 @@ let client_cmd =
   in
   let repeats_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "repeats" ] ~docv:"N" ~doc:"Timing repeats per inline cell.")
   in
   let id_arg =
@@ -1023,15 +928,7 @@ let client_cmd =
       (if retried then "  (retried)" else "")
   in
   let specs_of_file file =
-    match open_in_bin file with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in_noerr ic;
-      (match Sb_util.Json.of_string s with
-      | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-      | Ok j -> (
+    Result.bind (Sb_util.Json.of_file file) (fun j ->
         match
           Option.bind (Sb_util.Json.member "schema" j) Sb_util.Json.string_opt
         with
@@ -1039,19 +936,17 @@ let client_cmd =
           Error
             (Printf.sprintf "%s: unsupported schema %S (expected %S)" file tag
                Sb_serve.Protocol.schema)
-        | _ -> Sb_serve.Protocol.specs_of_json j))
+        | _ -> Sb_serve.Protocol.specs_of_json j)
   in
   (* transport failures get their own exit codes so scripts (and the CI
      soak gates) can tell "no server there" (3) from "the server died
      under me" (4) from usage/protocol errors (2) *)
-  let err_exit = function
+  let fail err =
+    prerr_endline (Sb_serve.Client.error_message err);
+    match err with
     | Sb_serve.Client.Connect_failed _ -> 3
     | Sb_serve.Client.Server_gone _ -> 4
     | Sb_serve.Client.Protocol_error _ | Sb_serve.Client.Server_error _ -> 2
-  in
-  let fail err =
-    prerr_endline (Sb_serve.Client.error_message err);
-    err_exit err
   in
   let action addr spec_file cells arch engine iters repeats id cancel_after
       status dump stop json_out retries backoff =
@@ -1096,9 +991,7 @@ let client_cmd =
           | Ok j ->
             print_endline (Sb_util.Json.to_string j);
             0
-          | Error err ->
-            prerr_endline (Sb_serve.Client.error_message err);
-            err_exit err)
+          | Error err -> fail err)
     else if dump then
       with_conn (fun conn ->
           match Sb_serve.Client.dump conn with
@@ -1107,16 +1000,12 @@ let client_cmd =
               (Sb_util.Json.to_string
                  (Sb_regress.Baseline.bench_json ~experiment:"serve" cells));
             0
-          | Error err ->
-            prerr_endline (Sb_serve.Client.error_message err);
-            err_exit err)
+          | Error err -> fail err)
     else if stop then
       with_conn (fun conn ->
           match Sb_serve.Client.shutdown conn with
           | Ok () -> 0
-          | Error err ->
-            prerr_endline (Sb_serve.Client.error_message err);
-            err_exit err)
+          | Error err -> fail err)
     else begin
       let specs =
         match (spec_file, cells) with
@@ -1163,9 +1052,7 @@ let client_cmd =
                 Sb_serve.Client.submit ?cancel_after ~on_row conn ~id
                   ~cells:specs
               with
-              | Error err ->
-                prerr_endline (Sb_serve.Client.error_message err);
-                err_exit err
+              | Error err -> fail err
               | Ok outcome -> report_outcome outcome !rows)
         | None -> (
           let cfg =
@@ -1220,11 +1107,6 @@ let fsck_cmd =
              files); the store degrades to cache misses instead of poisoning \
              a run.  Good entries are never touched.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Machine-readable report on stdout.")
-  in
   let action dir repair json =
     match Sb_jobs.Fsck.scan ~repair ~dir () with
     | Error msg ->
@@ -1265,7 +1147,7 @@ let fsck_cmd =
           every entry as ok, truncated, key-mismatched or a stale temp file. \
           Exits 0 when clean or fully repaired, 1 when damage was found \
           without --repair, 2 on unrepairable damage.")
-    Term.(const action $ dir_arg $ repair_arg $ json_arg)
+    Term.(const action $ dir_arg $ repair_arg $ json_flag)
 
 (* ---- chaos-proxy ---- *)
 
@@ -1458,9 +1340,6 @@ let compare_cmd =
              unchanged regardless of significance (host jitter on short \
              cells is typically 5-10%).")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
-  in
   let strict_arg =
     Arg.(
       value & flag
@@ -1545,7 +1424,7 @@ let compare_cmd =
           minimum-effect threshold) and attribute shifts to mechanism \
           categories.")
     Term.(
-      const action $ old_arg $ new_arg $ threshold_arg $ json_arg $ strict_arg
+      const action $ old_arg $ new_arg $ threshold_arg $ json_flag $ strict_arg
       $ all_cells_arg $ old_engine_arg $ new_engine_arg $ counters_arg)
 
 (* ---- report ---- *)
@@ -1683,7 +1562,7 @@ let () =
   let info = Cmd.info "simbench" ~version:"1.0.0" ~doc in
   exit (Cmd.eval' (Cmd.group info
        [
-         list_cmd; run_cmd; suite_cmd; workload_cmd; disasm_cmd; verify_cmd;
+         list_cmd; run_cmd; disasm_cmd; verify_cmd;
          chaos_cmd; lint_cmd; tv_cmd; debug_cmd; report_cmd; baseline_cmd;
          compare_cmd; serve_cmd; client_cmd; fsck_cmd; chaos_proxy_cmd;
        ]))

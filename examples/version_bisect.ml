@@ -22,7 +22,7 @@ let () =
     let rec go best k = if k = 0 then best else go (min best (f ())) (k - 1) in
     go (f ()) (n - 1)
   in
-  let mcf = Option.get (Sb_workloads.Workloads.find "mcf") in
+  let mcf = Sb_workloads.Workloads.mcf in
   let time_workload version =
     let engine = Simbench.Engines.dbt_version arch version in
     best_of 3 (fun () ->

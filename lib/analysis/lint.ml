@@ -459,7 +459,7 @@ let lint_bench ~support ?(platform = Platform.sbp_ref) bench =
   @ v3_rule ~region:"kernel" ~severity:v3_severity sub
   @ sp_rule ~region:"kernel" ~sentinel sub
 
-let lint_suite ?benches () =
+let lint_suite ?benches ?(arches = Engines.all_arches) () =
   let benches =
     match benches with Some b -> b | None -> Suite.all @ Suite_ext.all
   in
@@ -472,7 +472,7 @@ let lint_suite ?benches () =
             Support.name support,
             lint_bench ~support bench ))
         benches)
-    Engines.all_arches
+    arches
 
 let json_schema = "simbench-lint-json-1"
 

@@ -47,10 +47,12 @@ val lint_bench :
 
 val lint_suite :
   ?benches:Simbench.Bench.t list ->
+  ?arches:Sb_isa.Arch_sig.arch_id list ->
   unit ->
   (string * string * finding list) list
 (** Every benchmark (default: shipped suite + extension suite) under every
-    architecture support package; [(bench, arch, findings)] triples. *)
+    architecture support package of [arches] (default: both);
+    [(bench, arch, findings)] triples, arch by arch. *)
 
 val json_schema : string
 (** ["simbench-lint-json-1"] — the [schema] field of {!to_json} output. *)

@@ -46,13 +46,18 @@ let machine (platform : Platform.t) =
   in
   Sb_sim.Machine.create ~ram ~now:Unix.gettimeofday ()
 
+let default_iters ~scale bench =
+  match bench.Bench.category with
+  | Category.Application -> bench.Bench.default_iters
+  | _ -> max 10 (bench.Bench.default_iters / scale)
+
 let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
     ?switch_at ?setup_engine ?checkpoints ~support ~engine bench =
   let (module S : Support.SUPPORT) = support in
   let iters =
     match iters with
     | Some n -> max 1 n
-    | None -> max 10 (bench.Bench.default_iters / scale)
+    | None -> default_iters ~scale bench
   in
   let program = Rt.program ~support ~platform ~bench in
   let machine = machine platform in
@@ -137,11 +142,3 @@ let run ?(platform = Platform.sbp_ref) ?(scale = default_scale) ?iters
 let density outcome =
   if outcome.kernel_insns = 0 then nan
   else float_of_int outcome.tested_ops /. float_of_int outcome.kernel_insns
-
-let run_suite ?platform ?scale ?switch_at ?setup_engine ?checkpoints ~support
-    ~engine () =
-  List.map
-    (fun bench ->
-      run ?platform ?scale ?switch_at ?setup_engine ?checkpoints ~support
-        ~engine bench)
-    Suite.all

@@ -5,7 +5,9 @@
     Iteration counts default to Figure 3's values divided by [scale]
     (simulators-in-a-simulator run slower than real hardware); both the
     scaled count and the scale are recorded so results are reported
-    "with run time and iteration counts", as the paper requires. *)
+    "with run time and iteration counts", as the paper requires.  The
+    SPEC-analog workloads fix their own working sets and run their
+    [default_iters] kernel passes unscaled ({!default_iters}). *)
 
 type outcome = {
   bench_name : string;
@@ -26,6 +28,12 @@ exception Benchmark_failed of string
 val default_scale : int
 (** 20000: Figure 3 iteration counts divided by this keep a full-suite,
     all-engine sweep within interactive time. *)
+
+val default_iters : scale:int -> Bench.t -> int
+(** The iteration count {!run} uses when it is given no [iters]: a
+    [Category.Application] bench (a SPEC-analog workload) runs its
+    [default_iters] kernel passes, whatever the scale; any other bench
+    runs [max 10 (default_iters / scale)]. *)
 
 val machine : Platform.t -> Sb_sim.Machine.t
 (** A machine for [platform] built around this process's pooled RAM
@@ -54,7 +62,7 @@ val run :
   engine:Sb_sim.Engine.t ->
   Bench.t ->
   outcome
-(** [iters] overrides the scaled default entirely.
+(** [iters] overrides {!default_iters} entirely.
 
     [switch_at] enables checkpointed fast-forward: the run executes up to
     the switch point under [setup_engine] — or restores a matching
@@ -76,15 +84,3 @@ val run :
 
 val density : outcome -> float
 (** Tested operations per kernel instruction (the Figure 3 metric). *)
-
-val run_suite :
-  ?platform:Platform.t ->
-  ?scale:int ->
-  ?switch_at:Checkpoint.point ->
-  ?setup_engine:Sb_sim.Engine.t ->
-  ?checkpoints:Checkpoint.store ->
-  support:Support.t ->
-  engine:Sb_sim.Engine.t ->
-  unit ->
-  outcome list
-(** All 18 benchmarks in Figure 3 order. *)

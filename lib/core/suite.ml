@@ -502,8 +502,6 @@ let all =
     tlb_flush;
   ]
 
-let names = List.map (fun b -> b.Bench.name) all
-
 let find name =
   List.find_opt
     (fun b -> String.lowercase_ascii b.Bench.name = String.lowercase_ascii name)

@@ -3,11 +3,11 @@
 val all : Bench.t list
 
 val find : string -> Bench.t option
-(** Lookup by the Figure 3 name, e.g. ["Small Blocks"]. *)
+(** A Figure 3 bench by name, ignoring case, e.g. ["small blocks"].  The
+    tools resolve names through [Sb_workloads.Target.find], which also
+    knows the extension suite and the workloads. *)
 
 val by_category : Category.t -> Bench.t list
-
-val names : string list
 
 (** Individual benchmarks, in Figure 3 order. *)
 

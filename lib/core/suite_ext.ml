@@ -180,8 +180,3 @@ let context_switch =
 
 let all =
   [ nested_exception; page_table_modification; exception_return; context_switch ]
-
-let find name =
-  List.find_opt
-    (fun b -> String.lowercase_ascii b.Bench.name = String.lowercase_ascii name)
-    all

@@ -29,5 +29,3 @@ val context_switch : Bench.t
     ASID/PCID support the paper explicitly defers to future work. *)
 
 val all : Bench.t list
-
-val find : string -> Bench.t option

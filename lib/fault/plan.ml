@@ -145,12 +145,4 @@ let save path t =
       output_string oc (to_string t);
       output_char oc '\n')
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | contents -> of_string contents
+let load path = Result.bind (Sb_util.Json.of_file path) of_json

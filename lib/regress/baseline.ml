@@ -61,15 +61,6 @@ let cells_of_json ~source ~experiment j =
 (* File formats                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in_noerr ic;
-    Ok s
-
 let check_schema ~source ~expected j =
   match Option.bind (Json.member "schema" j) Json.string_opt with
   | Some s when s = expected -> Ok ()
@@ -85,11 +76,6 @@ let check_schema ~source ~expected j =
           did not record per-repeat samples) — re-run the benchmark with \
           --json to regenerate it"
          expected)
-
-let parse ~source s =
-  match Json.of_string s with
-  | Ok j -> Ok j
-  | Error msg -> error_in ~source msg
 
 (* one BENCH_<experiment>.json: the writer, then the reader *)
 let bench_json ?run ~experiment cells =
@@ -117,8 +103,7 @@ let bench_json ?run ~experiment cells =
     @ [ ("cells", Json.List cells) ])
 
 let load_bench_file path =
-  let* s = read_file path in
-  let* j = parse ~source:path s in
+  let* j = Json.of_file path in
   let* () = check_schema ~source:path ~expected:bench_schema j in
   let* experiment = field ~source:path j "experiment" Json.string_opt in
   cells_of_json ~source:path ~experiment j
@@ -145,8 +130,7 @@ let load_run_dir dir =
       |> Result.map (fun cells -> { Regress.source = dir; cells })
 
 let load_snapshot path =
-  let* s = read_file path in
-  let* j = parse ~source:path s in
+  let* j = Json.of_file path in
   let* () = check_schema ~source:path ~expected:snapshot_schema j in
   let* cells = cells_of_json ~source:path ~experiment:"?" j in
   Ok { Regress.source = path; cells }
@@ -156,8 +140,7 @@ let load path =
     error_in ~source:path "no such file or directory"
   else if Sys.is_directory path then load_run_dir path
   else
-    let* s = read_file path in
-    let* j = parse ~source:path s in
+    let* j = Json.of_file path in
     match Option.bind (Json.member "schema" j) Json.string_opt with
     | Some tag when tag = snapshot_schema ->
       let* cells = cells_of_json ~source:path ~experiment:"?" j in

@@ -259,18 +259,9 @@ let render_counters k =
 (* ------------------------------------------------------------------ *)
 
 let category_of_cell name =
-  let of_bench (b : Simbench.Bench.t) =
-    Simbench.Category.name b.Simbench.Bench.category
-  in
-  match Simbench.Suite.find name with
-  | Some b -> of_bench b
-  | None -> (
-    match Simbench.Suite_ext.find name with
-    | Some b -> of_bench b
-    | None -> (
-      match Sb_workloads.Workloads.find name with
-      | Some w -> of_bench w.Sb_workloads.Workloads.bench
-      | None -> "Other"))
+  match Sb_workloads.Target.find name with
+  | Ok b -> Simbench.Category.name b.Simbench.Bench.category
+  | Error _ -> "Other"
 
 (* the paper's reading of a category-level shift: which simulator
    mechanism moves that category *)

@@ -131,8 +131,9 @@ val render_counters : counter_report -> string
 (** One line per differing or unpaired cell, then a verdict line. *)
 
 val category_of_cell : string -> string
-(** Benchmark/workload name to SimBench category name ({!Simbench.Category});
-    SPEC-analog workloads map to "Application", unknown cells to "Other". *)
+(** Benchmark/workload name, resolved by {!Sb_workloads.Target.find}, to
+    SimBench category name ({!Simbench.Category}); SPEC-analog workloads
+    map to "Application", unknown cells to "Other". *)
 
 val mechanism_hint : string -> string option
 (** The simulator mechanism a category-level shift implicates — the

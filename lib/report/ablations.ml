@@ -20,8 +20,7 @@ let sweep ?opts ~(config : Experiments.config) spec =
     List.map
       (fun b ->
         {
-          Experiments.name = b.Simbench.Bench.name;
-          target = Experiments.Bench b;
+          Experiments.bench = b;
           iters =
             Some
               (match spec.iters with

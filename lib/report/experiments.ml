@@ -87,30 +87,12 @@ let recorded () =
 (* The row path: every driver measures, fails and encodes a cell here   *)
 (* ------------------------------------------------------------------ *)
 
-type target = Bench of Simbench.Bench.t | Workload of Sb_workloads.Workloads.t
-
-let target_of_name name =
-  match Simbench.Suite.find name with
-  | Some b -> Ok (Bench b)
-  | None -> (
-    match Simbench.Suite_ext.find name with
-    | Some b -> Ok (Bench b)
-    | None -> (
-      match Sb_workloads.Workloads.find name with
-      | Some w -> Ok (Workload w)
-      | None -> Error (Printf.sprintf "unknown benchmark or workload %S" name)))
-
-let measure ~label ~arch ~cell ~repeats ?scale ?iters ?switch_at ?checkpoints
-    ~engine target =
+let measure ~label ~arch ~repeats ?scale ?iters ?switch_at ?checkpoints
+    ~engine bench =
   let support = Simbench.Engines.support arch in
   let run1 () =
-    match target with
-    | Bench b ->
-      Simbench.Harness.run ?scale ?iters ?switch_at ?checkpoints ~support
-        ~engine b
-    | Workload w ->
-      Sb_workloads.Workloads.run ?iters ?switch_at ?checkpoints ~support ~engine
-        w
+    Simbench.Harness.run ?scale ?iters ?switch_at ?checkpoints ~support ~engine
+      bench
   in
   let o = run1 () in
   let rec more acc n =
@@ -120,7 +102,7 @@ let measure ~label ~arch ~cell ~repeats ?scale ?iters ?switch_at ?checkpoints
   let repeats = max 1 repeats in
   let times = more [ o.Simbench.Harness.kernel_seconds ] (repeats - 1) in
   {
-    row_cell = cell;
+    row_cell = bench.Simbench.Bench.name;
     row_engine = label;
     row_arch = Simbench.Engines.arch_name arch;
     row_iters = o.Simbench.Harness.iters;
@@ -260,7 +242,7 @@ let checkpoint_store ~config ~ckpt_dir =
 (* Columns: every figure, version sweep and ablation measures here      *)
 (* ------------------------------------------------------------------ *)
 
-type cell = { name : string; target : target; iters : int option }
+type cell = { bench : Simbench.Bench.t; iters : int option }
 
 type column = {
   label : string;
@@ -270,21 +252,13 @@ type column = {
   key : string option;
 }
 
-let bench_cells benches =
-  List.map
-    (fun b -> { name = b.Simbench.Bench.name; target = Bench b; iters = None })
-    benches
+let bench_cells benches = List.map (fun b -> { bench = b; iters = None }) benches
 
 let suite_cells = bench_cells Simbench.Suite.all
 
 let workload_cells n =
   List.map
-    (fun w ->
-      {
-        name = w.Sb_workloads.Workloads.name;
-        target = Workload w;
-        iters = Some n;
-      })
+    (fun w -> { bench = w.Sb_workloads.Workloads.bench; iters = Some n })
     Sb_workloads.Workloads.all
 
 let version_column ~arch cells dbt_config =
@@ -321,7 +295,9 @@ let column_key ~config c =
         ( "simbench-column",
           identity,
           c.arch,
-          List.map (fun cell -> (cell.name, cell.iters)) c.cells,
+          List.map
+            (fun cell -> (cell.bench.Simbench.Bench.name, cell.iters))
+            c.cells,
           config.scale,
           config.repeats,
           switch_name config.switch_at ))
@@ -342,9 +318,9 @@ let run_column ~config ~ckpt_dir c =
   let engine = c.engine () in
   List.map
     (fun cell ->
-      measure ~label:c.label ~arch:c.arch ~cell:cell.name
-        ~repeats:config.repeats ~scale:config.scale ?iters:cell.iters
-        ?switch_at:config.switch_at ?checkpoints ~engine cell.target)
+      measure ~label:c.label ~arch:c.arch ~repeats:config.repeats
+        ~scale:config.scale ?iters:cell.iters ?switch_at:config.switch_at
+        ?checkpoints ~engine cell.bench)
     c.cells
 
 (* The rows of one column's pool task: a late success is marked retried,
@@ -358,7 +334,8 @@ let rows_of_outcome c = function
     Printf.eprintf "[sb-report] %s\n%!" (Pool.failure_message f);
     let arch = Simbench.Engines.arch_name c.arch in
     List.map
-      (fun cell -> failure_row ~arch ~label:c.label ~cell:cell.name f)
+      (fun cell ->
+        failure_row ~arch ~label:c.label ~cell:cell.bench.Simbench.Bench.name f)
       c.cells
 
 (* Columns are the parallel unit: each is independent and its result is a
@@ -634,9 +611,7 @@ let fig7_arch ~config ~opts arch =
     List.map
       (fun bench ->
         let name = bench.Simbench.Bench.name in
-        let iters =
-          max 10 (bench.Simbench.Bench.default_iters / config.scale)
-        in
+        let iters = Simbench.Harness.default_iters ~scale:config.scale bench in
         (name :: string_of_int iters
         :: List.map
              (fun tbl -> Printf.sprintf "%.4f" (tfind tbl name))

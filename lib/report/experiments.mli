@@ -93,31 +93,24 @@ type row = {
     [Sb_regress.Baseline] and [simbench report --json] — measures, fails
     and encodes a cell through these functions. *)
 
-type target = Bench of Simbench.Bench.t | Workload of Sb_workloads.Workloads.t
-
-val target_of_name : string -> (target, string) result
-(** A suite bench, then an extension bench (both case-insensitive), then a
-    workload. *)
-
 val measure :
   label:string ->
   arch:Sb_isa.Arch_sig.arch_id ->
-  cell:string ->
   repeats:int ->
   ?scale:int ->
   ?iters:int ->
   ?switch_at:Simbench.Checkpoint.point ->
   ?checkpoints:Simbench.Checkpoint.store ->
   engine:Sb_sim.Engine.t ->
-  target ->
+  Simbench.Bench.t ->
   row
-(** Run [target] [max 1 repeats] times through {!Simbench.Harness.run} or
-    {!Sb_workloads.Workloads.run} ([scale] applies to benches only) and
-    make its row: minimum and mean kernel seconds over the repeats, plus
-    the iterations, kernel instructions and kernel counters of the first
-    run.  [label] and [cell] become [row_engine] and [row_cell] as given.
-    Raises on a guest failure; inside a pool worker that becomes a
-    [Failed] outcome. *)
+(** Run the bench [max 1 repeats] times through {!Simbench.Harness.run},
+    whose iteration rule applies when [iters] is absent, and make its row:
+    minimum and mean kernel seconds over the repeats, plus the
+    iterations, kernel instructions and kernel counters of the first run.
+    [label] becomes [row_engine] and the bench's name [row_cell].  Raises
+    on a guest failure; inside a pool worker that becomes a [Failed]
+    outcome. *)
 
 val failure_row :
   arch:string -> label:string -> cell:string -> Sb_jobs.Pool.failure -> row
@@ -150,11 +143,10 @@ val recorded : unit -> row list
 (** {2 Columns} *)
 
 type cell = {
-  name : string;  (** becomes [row_cell] *)
-  target : target;
+  bench : Simbench.Bench.t;  (** its name becomes [row_cell] *)
   iters : int option;
-      (** a fixed iteration count; [None] is a bench's Figure 3 count
-          divided by the config's [scale] *)
+      (** a fixed iteration count; [None] is
+          {!Simbench.Harness.default_iters} at the config's [scale] *)
 }
 
 type column = {

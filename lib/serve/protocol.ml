@@ -24,9 +24,22 @@ let arch_name = Simbench.Engines.arch_name
 let spec_label sp =
   Printf.sprintf "%s/%s/%s" sp.sp_engine (arch_name sp.sp_arch) sp.sp_bench
 
+(* A spec is keyed and run under these spellings, so that the spellings
+   of one cell share a flight, a store entry and a row name.  An unknown
+   name keeps its spelling and is rejected where it is resolved. *)
+let canonical sp =
+  {
+    sp with
+    sp_bench =
+      (match Sb_workloads.Target.find sp.sp_bench with
+      | Ok b -> b.Simbench.Bench.name
+      | Error _ -> sp.sp_bench);
+    sp_engine = Simbench.Engines.canonical_name sp.sp_engine;
+  }
+
 (* The content address of one cell: everything that determines its row.
-   The engine string must be canonical (Simbench.Engines.canonical_name)
-   before keying, so dbt release aliases share one entry. *)
+   The spec must be [canonical] before keying, so dbt release aliases and
+   case spellings of a bench share one entry. *)
 let spec_key sp =
   Sb_jobs.Cache.fingerprint
     ( "simbench-serve-cell",

@@ -39,7 +39,7 @@ val schema_v1 : string
 (** {2 Cell specs} *)
 
 type cell_spec = {
-  sp_bench : string;  (** suite bench, extension bench or workload name *)
+  sp_bench : string;  (** a name {!Sb_workloads.Target.find} resolves *)
   sp_engine : string;  (** engine spelling per {!Simbench.Engines.of_string} *)
   sp_arch : Sb_isa.Arch_sig.arch_id;
   sp_iters : int option;  (** [None] = the bench/workload default *)
@@ -52,11 +52,18 @@ val arch_name : Sb_isa.Arch_sig.arch_id -> string
 val spec_label : cell_spec -> string
 (** ["engine/arch/bench"], for logs and failure rows. *)
 
+val canonical : cell_spec -> cell_spec
+(** The spelling a spec is keyed and run under: the engine's
+    {!Simbench.Engines.canonical_name} and the bench's own name as
+    {!Sb_workloads.Target.find} returns it.  An unknown name keeps its
+    spelling.  The daemon's submit path and {!Resilient}'s row check-off
+    both call it, so they agree on every key. *)
+
 val spec_key : cell_spec -> string
 (** Content address of the cell's result: a {!Sb_jobs.Cache.fingerprint}
-    over the schema version and every spec field.  The engine string must
-    already be canonical ({!Simbench.Engines.canonical_name}) so alias
-    spellings of the same engine share one cache entry. *)
+    over the schema version and every spec field.  The spec must already
+    be {!canonical}, so alias spellings of the same cell share one cache
+    entry. *)
 
 val spec_to_json : cell_spec -> Json.t
 val spec_of_json : Json.t -> (cell_spec, string) result

@@ -36,11 +36,6 @@ type outcome = { ended : Client.job_end; stats : stats }
 (* Cells keyed by their content address.  A multiset: the same spec may
    legitimately appear twice in one submission (the server streams two
    rows), so we track counts, not membership. *)
-let canonical spec =
-  { spec with
-    Protocol.sp_engine = Simbench.Engines.canonical_name spec.Protocol.sp_engine
-  }
-
 let key_counts keyed =
   let counts = Hashtbl.create 64 in
   List.iter
@@ -84,7 +79,7 @@ let submit ?(cfg = default_config) ?(on_event = fun _ -> ())
   let keyed =
     List.map
       (fun spec ->
-        let spec = canonical spec in
+        let spec = Protocol.canonical spec in
         (Protocol.spec_key spec, spec))
       cells
   in

@@ -140,7 +140,7 @@ let install_signal_handlers () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-(* A spec's engine and target.  Runs at submit time, so a bad job is
+(* A spec's engine and bench.  Runs at submit time, so a bad job is
    rejected whole with one error frame, and again inside the pool worker,
    which rebuilds everything from the spec's plain strings. *)
 let resolve (sp : Protocol.cell_spec) =
@@ -148,17 +148,17 @@ let resolve (sp : Protocol.cell_spec) =
   | Error msg -> Error msg
   | Ok engine ->
     Result.map
-      (fun target -> (engine, target))
-      (Experiments.target_of_name sp.sp_bench)
+      (fun bench -> (engine, bench))
+      (Sb_workloads.Target.find sp.sp_bench)
 
 (* The pool workers' work function; raises on an invalid spec or a guest
    failure, which the pool reports as a [Failed] outcome. *)
 let measure (sp : Protocol.cell_spec) =
   match resolve sp with
   | Error msg -> failwith msg
-  | Ok (engine, target) ->
-    Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch ~cell:sp.sp_bench
-      ~repeats:sp.sp_repeats ?iters:sp.sp_iters ~engine target
+  | Ok (engine, bench) ->
+    Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch
+      ~repeats:sp.sp_repeats ?iters:sp.sp_iters ~engine bench
 
 let create cfg =
   if cfg.unix_path = None && cfg.tcp_port = None then
@@ -561,19 +561,10 @@ let handle_submit t c ~id ~cells ~resume =
       (Protocol.Error_msg
          { id = Some id; message = Printf.sprintf "duplicate job id %S" id })
   else begin
-    (* canonicalise engine spellings so alias submissions share flights
-       and cache entries, then validate the whole job before accepting
-       any of it *)
-    let cells =
-      List.map
-        (fun sp ->
-          {
-            sp with
-            Protocol.sp_engine =
-              Simbench.Engines.canonical_name sp.Protocol.sp_engine;
-          })
-        cells
-    in
+    (* canonicalise spellings so alias submissions share flights and
+       cache entries, then validate the whole job before accepting any of
+       it *)
+    let cells = List.map Protocol.canonical cells in
     let bad =
       List.find_map
         (fun sp ->

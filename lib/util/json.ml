@@ -328,6 +328,24 @@ let of_string s =
     let line, col = line_col s offset in
     Error (Printf.sprintf "line %d, column %d: %s" line col msg)
 
+(* A directory opens but cannot be read.  The read runs to the end of the
+   file rather than to a length taken first, so a file that shrinks under
+   it is a short read, not End_of_file. *)
+let of_file path =
+  let contents =
+    match open_in_bin path with
+    | exception Sys_error msg -> Error msg
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match In_channel.input_all ic with
+          | s -> Ok s
+          | exception Sys_error msg -> Error (path ^ ": " ^ msg))
+  in
+  Result.bind contents (fun s ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (of_string s))
+
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)
 (* ------------------------------------------------------------------ *)

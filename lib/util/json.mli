@@ -28,6 +28,11 @@ val of_string : string -> (t, string) result
     512"), found at its opening bracket, so untrusted input costs time
     linear in its length. *)
 
+val of_file : string -> (t, string) result
+(** {!of_string} of a whole file.  Every error starts with the path: one
+    that cannot be opened or read (a directory, say) and one that does not
+    parse alike. *)
+
 (** {2 Accessors}
 
     Shape probes used by the readers; all return [None] on a shape

@@ -472,13 +472,7 @@ let all =
     xalancbmk;
   ]
 
-let names = List.map (fun w -> w.name) all
-
-let find name = List.find_opt (fun w -> w.name = name) all
-
-let default_iters = 40
-
-let run ?platform ?(iters = default_iters) ?switch_at ?setup_engine ?checkpoints
-    ~support ~engine w =
-  Simbench.Harness.run ?platform ~iters ?switch_at ?setup_engine ?checkpoints
+let run ?platform ?iters ?switch_at ?setup_engine ?checkpoints ~support ~engine
+    w =
+  Simbench.Harness.run ?platform ?iters ?switch_at ?setup_engine ?checkpoints
     ~support ~engine w.bench

@@ -24,16 +24,8 @@ type t = {
 
 val all : t list
 
-val find : string -> t option
-
-val names : string list
-
 val sjeng : t
 val mcf : t
-
-val default_iters : int
-(** Kernel passes per run used by the reporting layer (the workloads fix
-    their own working-set sizes; iterations scale run time). *)
 
 val run :
   ?platform:Simbench.Platform.t ->
@@ -46,4 +38,6 @@ val run :
   t ->
   Simbench.Harness.outcome
 (** Run one workload; same contract as {!Simbench.Harness.run}, including
-    checkpointed fast-forward through [switch_at]/[checkpoints]. *)
+    checkpointed fast-forward through [switch_at]/[checkpoints].  Without
+    [iters] it runs the workload's 40 kernel passes (the workloads fix
+    their own working-set sizes; iterations scale run time). *)

@@ -168,9 +168,9 @@ let test_suite_is_clean () =
 
 let test_workloads_have_no_errors () =
   let benches =
-    List.map
-      (fun w -> w.Sb_workloads.Workloads.bench)
-      Sb_workloads.Workloads.all
+    List.filter
+      (fun b -> b.Simbench.Bench.category = Simbench.Category.Application)
+      Sb_workloads.Target.all
   in
   List.iter
     (fun (bench, arch, findings) ->

@@ -251,6 +251,10 @@ let test_category_attribution () =
   Alcotest.(check string) "exception bench" "Exception Handling"
     (Regress.category_of_cell "System Call");
   Alcotest.(check string) "workload" "Application" (Regress.category_of_cell "mcf");
+  Alcotest.(check string) "names ignore case" "Application"
+    (Regress.category_of_cell "MCF");
+  Alcotest.(check string) "extension bench" "Exception Handling"
+    (Regress.category_of_cell "nested exception");
   Alcotest.(check string) "unknown" "Other" (Regress.category_of_cell "nonesuch");
   let old_run =
     run ~source:"old"
@@ -566,6 +570,27 @@ let test_old_schema_rejected () =
   | Error msg -> Alcotest.(check bool) "position carried" true (contains msg "column"));
   rm_rf dir
 
+(* a directory where a run file is expected is an error, not an
+   exception *)
+let test_directory_for_file () =
+  let dir = tmp_dir "sb_regress_dir" in
+  let sub = Filename.concat dir "BENCH_x.json" in
+  Sys.mkdir sub 0o755;
+  List.iter
+    (fun (what, result) ->
+      match result with
+      | Ok _ -> Alcotest.failf "%s: a directory loaded as a run" what
+      | Error msg ->
+        Alcotest.(check bool) (what ^ " names the file") true
+          (contains msg "BENCH_x.json"))
+    [
+      ("run directory", Result.map ignore (Baseline.load dir));
+      ("bench file", Result.map ignore (Baseline.load_bench_file sub));
+      ("snapshot", Result.map ignore (Baseline.load_snapshot sub));
+    ];
+  Sys.rmdir sub;
+  rm_rf dir
+
 let test_missing_field_named () =
   let dir = tmp_dir "sb_regress_field" in
   let file = Filename.concat dir "BENCH_x.json" in
@@ -661,6 +686,7 @@ let () =
             test_bench_file_round_trip;
           Alcotest.test_case "old schema rejected" `Quick test_old_schema_rejected;
           Alcotest.test_case "missing field named" `Quick test_missing_field_named;
+          Alcotest.test_case "directory for a file" `Quick test_directory_for_file;
           Alcotest.test_case "cache eviction logged" `Quick
             test_cache_eviction_logged;
         ] );

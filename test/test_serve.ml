@@ -88,6 +88,19 @@ let test_spec_key_canonical () =
   in
   Alcotest.(check string) "alias keys collide" (k "gem5") (k "detailed");
   Alcotest.(check bool) "different engines differ" true (k "interp" <> k "dbt");
+  (* bench spellings canonicalise to the bench's own name; a canonical
+     spec is its own canonical form, so its key does not move *)
+  let kb bench = Protocol.spec_key (Protocol.canonical (spec ~bench ())) in
+  List.iter
+    (fun bench ->
+      Alcotest.(check string) (bench ^ " keys as Small Blocks")
+        (Protocol.spec_key (spec ~bench:"Small Blocks" ()))
+        (kb bench))
+    [ "Small Blocks"; "small blocks"; "SMALL BLOCKS" ];
+  Alcotest.(check string) "MCF is mcf" "mcf"
+    (Protocol.canonical (spec ~bench:"MCF" ())).Protocol.sp_bench;
+  Alcotest.(check string) "an unknown bench keeps its spelling" "NoSuch"
+    (Protocol.canonical (spec ~bench:"NoSuch" ())).Protocol.sp_bench;
   Alcotest.(check bool)
     "iters moves the key" true
     (Protocol.spec_key (spec ~iters:50 ())
@@ -450,6 +463,28 @@ let test_two_clients_share_results () =
         "b deduplicated" true
         (counter server "deduplicated" >= 2))
 
+let test_bench_spellings_share_a_cell () =
+  with_server ~jobs:1 (fun server path ->
+      let tc = tconnect server path in
+      Fun.protect ~finally:(fun () -> tclose tc) @@ fun () ->
+      tsend tc
+        (submit "s"
+           (List.map
+              (fun bench -> spec ~bench ~iters:20 ())
+              [ "Small Blocks"; "small blocks"; "SMALL BLOCKS" ]));
+      wait_for server tc (is_done "s") "job s done";
+      let rows = rows_of tc "s" in
+      Alcotest.(check int) "one row per cell" 3 (List.length rows);
+      List.iter
+        (fun (_, cell) ->
+          Alcotest.(check (option string)) "row named as the bench"
+            (Some "Small Blocks")
+            (Option.bind (Json.member "cell" cell) Json.string_opt))
+        rows;
+      Alcotest.(check int) "simulated once" 1 (counter server "simulated");
+      Alcotest.(check int) "the others deduplicated" 2
+        (counter server "deduplicated"))
+
 let test_window_bounds_inflight () =
   with_server ~jobs:4 ~window:1 (fun server path ->
       let tc = tconnect server path in
@@ -652,10 +687,10 @@ let test_warm_worker_counters () =
       in
       let cold =
         Sb_report.Experiments.measure ~label:sp.sp_engine ~arch:sp.sp_arch
-          ~cell:sp.sp_bench ~repeats:1 ?iters:sp.sp_iters
+          ~repeats:1 ?iters:sp.sp_iters
           ~engine:
             (Result.get_ok (Simbench.Engines.of_string sp.sp_arch sp.sp_engine))
-          (Result.get_ok (Sb_report.Experiments.target_of_name sp.sp_bench))
+          (Result.get_ok (Sb_workloads.Target.find sp.sp_bench))
       in
       Alcotest.(check string) (label ^ " status") "ok" row.row_status;
       Alcotest.(check int) (label ^ " kernel_insns") cold.row_kernel_insns
@@ -815,15 +850,7 @@ let test_row_keys_match_spec_keys () =
       tsend tc (submit "k" quick_cells);
       wait_for server tc (is_done "k") "job done";
       let expect =
-        List.map
-          (fun sp ->
-            Protocol.spec_key
-              {
-                sp with
-                Protocol.sp_engine =
-                  Simbench.Engines.canonical_name sp.Protocol.sp_engine;
-              })
-          quick_cells
+        List.map (fun sp -> Protocol.spec_key (Protocol.canonical sp)) quick_cells
       in
       let got =
         List.filter_map
@@ -1184,6 +1211,8 @@ let () =
             test_identical_jobs_deduplicate;
           Alcotest.test_case "two clients share results" `Quick
             test_two_clients_share_results;
+          Alcotest.test_case "bench spellings share a cell" `Quick
+            test_bench_spellings_share_a_cell;
           Alcotest.test_case "window bounds in-flight" `Quick
             test_window_bounds_inflight;
           Alcotest.test_case "cancel mid-run" `Quick test_cancel_mid_run;

@@ -141,7 +141,33 @@ let test_harness_scaling () =
       Simbench.Suite.system_call
   in
   Alcotest.(check int) "explicit iters" 25 o.H.iters;
-  Alcotest.(check int) "tested ops follow iters" 25 o.H.tested_ops
+  Alcotest.(check int) "tested ops follow iters" 25 o.H.tested_ops;
+  (* without iters, a workload runs its 40 passes at any scale and a
+     suite bench its Figure 3 count divided by the scale, at least 10 *)
+  let iters_at scale bench =
+    (H.run ~scale
+       ~support:(Simbench.Engines.support arch)
+       ~engine:(Simbench.Engines.interp arch)
+       bench)
+      .H.iters
+  in
+  let mcf = Sb_workloads.Workloads.mcf.Sb_workloads.Workloads.bench in
+  List.iter
+    (fun scale ->
+      Alcotest.(check int) (Printf.sprintf "mcf at scale %d" scale) 40
+        (iters_at scale mcf))
+    [ 1; 2_000; 100_000 ];
+  List.iter
+    (fun (scale, expect) ->
+      Alcotest.(check int)
+        (Printf.sprintf "Small Blocks at scale %d" scale)
+        expect
+        (iters_at scale Simbench.Suite.small_blocks);
+      Alcotest.(check int)
+        (Printf.sprintf "the rule at scale %d" scale)
+        expect
+        (H.default_iters ~scale Simbench.Suite.small_blocks))
+    [ (2_000, 50); (100_000, 10) ]
 
 let test_density_positive () =
   let arch = Sb_isa.Arch_sig.Sba in
@@ -325,10 +351,6 @@ let test_boot_cost () =
 (* The stub is the image's last code, alone on a page: a page it shared
    with code that a kernel rewrites would be marked as code during setup. *)
 let test_boot_stub_page () =
-  let benches =
-    Simbench.Suite.all @ Simbench.Suite_ext.all
-    @ List.map (fun w -> w.Sb_workloads.Workloads.bench) Sb_workloads.Workloads.all
-  in
   List.iter
     (fun arch ->
       List.iter
@@ -351,7 +373,7 @@ let test_boot_stub_page () =
               if addr >= stub && label <> "_start" && label <> "rt_stub_fill"
               then Alcotest.failf "%s: label %s at 0x%x on the stub's page" what label addr)
             program.Sb_asm.Program.symbols)
-        benches)
+        Sb_workloads.Target.all)
     arches
 
 (* Reset vectors to the stub: two jumps from the Reset slot land on it,

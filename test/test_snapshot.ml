@@ -33,7 +33,7 @@ let equivalence_benches =
   [
     (Simbench.Suite.hot_memory_access, None);
     (Simbench.Suite.external_software_interrupt, None);
-    ((Option.get (W.find "omnetpp")).W.bench, Some 16);
+    (Result.get_ok (Sb_workloads.Target.find "omnetpp"), Some 16);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,13 @@
 (* Unit and property tests for Sb_util. *)
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec loop i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || loop (i + 1))
+  in
+  loop 0
+
 
 
 let test_u32_basics () =
@@ -98,6 +106,41 @@ let test_json_depth () =
   rejected "513 objects" (objects 513) ~column:((512 * 5) + 1);
   rejected "a million open brackets" (String.make 1_000_000 '[') ~column:513
 
+(* Json.of_file: a file that does not parse, a missing path and a
+   directory are errors that start with the path, never exceptions *)
+let test_json_of_file () =
+  let dir = Filename.temp_dir "sb_util_json" "" in
+  let write name s =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc s);
+    path
+  in
+  let good = write "good.json" {|{"a":[1,2]}|} in
+  (match Sb_util.Json.of_file good with
+  | Ok j ->
+    Alcotest.(check bool) "parsed" true
+      (Sb_util.Json.member "a" j
+      = Some Sb_util.Json.(List [ Int 1; Int 2 ]))
+  | Error msg -> Alcotest.fail msg);
+  let bad = write "bad.json" {|{"a": }|} in
+  List.iter
+    (fun (what, path, reason) ->
+      match Sb_util.Json.of_file path with
+      | Ok _ -> Alcotest.failf "%s: parsed" what
+      | Error msg ->
+        Alcotest.(check bool) (what ^ ": starts with the path") true
+          (String.starts_with ~prefix:(path ^ ": ") msg);
+        Alcotest.(check bool) (what ^ ": says why") true
+          (contains msg reason))
+    [
+      ("unparsable", bad, "column");
+      ("missing", Filename.concat dir "none.json", "No such file");
+      ("directory", dir, "directory");
+    ];
+  Sys.remove good;
+  Sys.remove bad;
+  Sys.rmdir dir
+
 let test_xorshift_deterministic () =
   let a = Sb_util.Xorshift.create ~seed:42 in
   let b = Sb_util.Xorshift.create ~seed:42 in
@@ -170,6 +213,7 @@ let () =
         [
           Alcotest.test_case "emitter" `Quick test_json;
           Alcotest.test_case "nesting depth bounded" `Quick test_json_depth;
+          Alcotest.test_case "file reader" `Quick test_json_of_file;
         ] );
       ( "xorshift",
         [
